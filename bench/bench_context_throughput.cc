@@ -3,7 +3,9 @@
 // chain-reaction cascade, and one full batch-selection round — at 1k and
 // 10k history RSs. Emits machine-readable BENCH_context.json (override
 // the path with TM_BENCH_JSON). `--smoke` (or TM_SMOKE=1) keeps both
-// scales but shrinks the query counts so CI finishes in seconds.
+// scales but shrinks the query counts for a quick local look; its
+// end-to-end speedups are not comparable to the committed full-run
+// baseline, which CI gates a full run against.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>

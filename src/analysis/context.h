@@ -16,7 +16,9 @@
 // block worth of selections (every target, every ladder stage, every
 // analysis probe) shares one snapshot, and concurrent selectors share it
 // without locks. Interning is per-snapshot, not global — see DESIGN.md
-// decision 8.
+// decision 8. The one lazily filled part is the module partition memo
+// behind Modules(): a pure function of the immutable columns, filled at
+// most once per context and shared by its copies (DESIGN.md decision 14).
 //
 // Two storage modes back the same read surface (DESIGN.md decision 12):
 //
@@ -42,10 +44,12 @@
 
 #include "chain/ht_index.h"
 #include "chain/types.h"
+#include "common/status.h"
 
 namespace tokenmagic::analysis {
 
 class EpochChain;
+class ModulePartition;
 
 class AnalysisContext {
  public:
@@ -124,8 +128,21 @@ class AnalysisContext {
 
   chain::TxId ht_id(Local ht) const { return ht_ids_[ht]; }
 
+  // -- module partition ---------------------------------------------------
+
+  /// The module partition (analysis/module_partition.h) of this context's
+  /// whole token set over its whole history. Built on the first call and
+  /// shared by every copy of this context: later calls, from any thread,
+  /// return the same object, which lives as long as any copy does
+  /// (DESIGN.md decision 14).
+  const common::Result<ModulePartition>& Modules() const;
+
  private:
   friend class EpochChain;
+
+  /// Lazily filled per-view slot behind Modules() (module_partition.cc).
+  struct ModuleMemo;
+  static std::shared_ptr<ModuleMemo> NewModuleMemo();
 
   /// Built-mode storage: the context owns its columns. Chained contexts
   /// read an EpochChain's shared core instead; either way `storage_`
@@ -181,6 +198,10 @@ class AnalysisContext {
   size_t token_count_ = 0;
   size_t rs_count_ = 0;
   size_t ht_count_ = 0;
+
+  // Every Build()/View() result starts with a fresh, empty memo; copies
+  // share it, so a view's partition is built at most once.
+  std::shared_ptr<ModuleMemo> module_memo_ = NewModuleMemo();
 };
 
 }  // namespace tokenmagic::analysis

@@ -53,4 +53,11 @@ bool SatisfiesRecursiveDiversity(std::span<const chain::TokenId> tokens,
 double DiversitySlack(const std::vector<int64_t>& frequencies,
                       const chain::DiversityRequirement& req);
 
+/// The same slack from its two integers: q_1 and the tail sum
+/// q_ℓ + … + q_θ (0 and 0 for an empty set). Incremental callers that
+/// keep HT counters use this overload, so both share one sign logic.
+// tm-lint: allow(float, greedy potential; sign exact, magnitude may round)
+double DiversitySlack(int64_t q1, int64_t tail,
+                      const chain::DiversityRequirement& req);
+
 }  // namespace tokenmagic::analysis

@@ -36,7 +36,7 @@ common::Result<SelectionResult> AddUntilEligible(
     }
     size_t position = pick(*state);
     TM_CHECK(position < state->remaining.size());
-    ChooseModule(state, index, state->remaining[position]);
+    ChooseModule(state, state->remaining[position]);
     ++result.iterations;
   }
   result.members = MaterializeCandidate(state->mu, state->chosen);
@@ -55,7 +55,7 @@ common::Result<SelectionResult> SmallestSelector::Select(
         size_t best_pos = 0;
         size_t best_size = std::numeric_limits<size_t>::max();
         for (size_t pos = 0; pos < s.remaining.size(); ++pos) {
-          size_t size = s.mu.module(s.remaining[pos]).size();
+          size_t size = s.mu.module_size(s.remaining[pos]);
           if (size < best_size) {
             best_size = size;
             best_pos = pos;

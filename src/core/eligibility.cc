@@ -1,7 +1,6 @@
 #include "core/eligibility.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "analysis/dtrs.h"
 #include "common/macros.h"
@@ -18,13 +17,19 @@ chain::DiversityRequirement EffectiveRequirement(
 
 std::vector<chain::TokenId> MaterializeCandidate(
     const ModuleUniverse& mu, const std::vector<size_t>& chosen_modules) {
-  std::vector<chain::TokenId> out;
+  // Token locals sort like the external ids they stand for.
+  std::vector<analysis::AnalysisContext::Local> locals;
   for (size_t index : chosen_modules) {
-    const Module& module = mu.module(index);
-    out.insert(out.end(), module.tokens.begin(), module.tokens.end());
+    std::span<const analysis::AnalysisContext::Local> members =
+        mu.partition().Members(index);
+    locals.insert(locals.end(), members.begin(), members.end());
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  std::sort(locals.begin(), locals.end());  // modules are disjoint
+  std::vector<chain::TokenId> out;
+  out.reserve(locals.size());
+  for (analysis::AnalysisContext::Local t : locals) {
+    out.push_back(mu.context().token_id(t));
+  }
   return out;
 }
 
@@ -32,7 +37,7 @@ size_t CandidateSubsetCount(const ModuleUniverse& mu,
                             const std::vector<size_t>& chosen_modules) {
   size_t count = 1;  // the candidate itself
   for (size_t index : chosen_modules) {
-    count += mu.module(index).subset_count;
+    count += mu.partition().SubsetRs(index).size();
   }
   return count;
 }
@@ -66,14 +71,13 @@ EligibilityVerdict CheckCandidate(
 
   if (policy.check_immutability) {
     // Every history RS inside a chosen super module gets the candidate as
-    // its new super RS, whose subset count is v_candidate.
-    std::unordered_map<chain::RsId, const chain::RsView*> by_id;
-    for (const chain::RsView& view : history) by_id.emplace(view.id, &view);
+    // its new super RS, whose subset count is v_candidate. The partition
+    // names those RSs by history position.
     for (size_t module_index : chosen_modules) {
-      for (chain::RsId rs : mu.SubsetRsOf(module_index)) {
-        auto it = by_id.find(rs);
-        TM_CHECK(it != by_id.end());
-        const chain::RsView& covered = *it->second;
+      for (analysis::AnalysisContext::Local rs :
+           mu.partition().SubsetRs(module_index)) {
+        TM_CHECK(rs < history.size());
+        const chain::RsView& covered = history[rs];
         if (!analysis::PracticalDtrsDiversityHolds(
                 covered.members, v_candidate, index, covered.requirement)) {
           verdict.violation = EligibilityVerdict::Violation::kImmutability;

@@ -47,7 +47,9 @@ struct EligibilityVerdict {
 };
 
 /// Checks a candidate assembled from `chosen_modules` of `mu`.
-/// `history` is the same RS list `mu` was built from (for immutability).
+/// `history` is the same RS list `mu` was built from: the immutability
+/// re-check reads the covered RSs from it by the history positions the
+/// partition records.
 EligibilityVerdict CheckCandidate(
     const ModuleUniverse& mu, const std::vector<size_t>& chosen_modules,
     std::span<const chain::RsView> history, const chain::HtIndex& index,

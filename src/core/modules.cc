@@ -1,33 +1,25 @@
 #include "core/modules.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
-#include "analysis/context.h"
 #include "common/macros.h"
-#include "common/strings.h"
 
 namespace tokenmagic::core {
 
 namespace {
 
-/// True when sorted vector `a` is a subset of sorted vector `b`.
-bool SortedSubset(const std::vector<chain::TokenId>& a,
-                  const std::vector<chain::TokenId>& b) {
-  return std::includes(b.begin(), b.end(), a.begin(), a.end());
-}
+using analysis::AnalysisContext;
+using analysis::ModulePartition;
 
-/// True when sorted vectors `a` and `b` share no element.
-bool SortedDisjoint(const std::vector<chain::TokenId>& a,
-                    const std::vector<chain::TokenId>& b) {
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
+/// True when `universe` is exactly the context's interned token column,
+/// compared by content: the one case the view's memoized partition
+/// answers.
+bool IsViewUniverse(const AnalysisContext& context,
+                    std::span<const chain::TokenId> universe) {
+  if (universe.size() != context.token_count()) return false;
+  for (size_t i = 0; i < universe.size(); ++i) {
+    if (universe[i] !=
+        context.token_id(static_cast<AnalysisContext::Local>(i))) {
       return false;
     }
   }
@@ -36,300 +28,101 @@ bool SortedDisjoint(const std::vector<chain::TokenId>& a,
 
 }  // namespace
 
+common::Result<ModuleUniverse> ModuleUniverse::BuildInterned(
+    std::span<const chain::TokenId> universe,
+    std::span<const chain::RsView> history, const chain::HtIndex* index) {
+  TM_ASSIGN_OR_RETURN(std::shared_ptr<const analysis::InternedModules> owned,
+                      analysis::InternModules(history, index, universe));
+  ModuleUniverse mu;
+  mu.context_ = &owned->context;
+  mu.partition_ = &owned->partition;
+  mu.owned_ = std::move(owned);
+  return mu;
+}
+
 common::Result<ModuleUniverse> ModuleUniverse::Build(
     std::span<const chain::TokenId> universe,
     std::span<const chain::RsView> history) {
-  using common::Status;
-  ModuleUniverse mu;
-
-  std::unordered_set<chain::TokenId> universe_set(universe.begin(),
-                                                  universe.end());
-  mu.token_count_ = universe_set.size();
-
-  // Validate that history tokens live in the universe and the first
-  // practical configuration holds pairwise (superset or disjoint).
-  for (const chain::RsView& view : history) {
-    for (chain::TokenId t : view.members) {
-      if (universe_set.count(t) == 0) {
-        return Status::InvalidArgument(common::StrFormat(
-            "rs %llu contains token %llu outside the universe",
-            static_cast<unsigned long long>(view.id),
-            static_cast<unsigned long long>(t)));
-      }
-    }
-  }
-  for (size_t i = 0; i < history.size(); ++i) {
-    for (size_t j = i + 1; j < history.size(); ++j) {
-      const auto& a = history[i].members;
-      const auto& b = history[j].members;
-      if (!SortedDisjoint(a, b) && !SortedSubset(a, b) &&
-          !SortedSubset(b, a)) {
-        return Status::InvalidArgument(common::StrFormat(
-            "history violates the first practical configuration: rs %llu "
-            "and rs %llu partially overlap",
-            static_cast<unsigned long long>(history[i].id),
-            static_cast<unsigned long long>(history[j].id)));
-      }
-    }
-  }
-
-  // Super RSs (Definition 7): scan from the latest proposal backwards; an
-  // RS none of whose tokens is already covered by a later RS is maximal.
-  std::vector<size_t> order(history.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return history[a].proposed_at > history[b].proposed_at;
-  });
-
-  std::unordered_set<chain::TokenId> covered;
-  std::vector<size_t> super_indices;  // indices into history
-  for (size_t idx : order) {
-    const auto& members = history[idx].members;
-    bool any_covered = false;
-    for (chain::TokenId t : members) {
-      if (covered.count(t) > 0) {
-        any_covered = true;
-        break;
-      }
-    }
-    if (!any_covered) {
-      super_indices.push_back(idx);
-      covered.insert(members.begin(), members.end());
-    }
-    // A partially-covered RS is impossible here: the configuration check
-    // above guarantees it is a subset of the covering (later) RS.
-  }
-
-  // Emit super-RS modules (in original proposal order for determinism).
-  std::sort(super_indices.begin(), super_indices.end());
-  for (size_t idx : super_indices) {
-    const chain::RsView& view = history[idx];
-    Module module;
-    module.index = mu.modules_.size();
-    module.is_fresh = false;
-    module.super_rs = view.id;
-    module.tokens = view.members;
-    std::vector<chain::RsId> subsets;
-    for (const chain::RsView& other : history) {
-      if (SortedSubset(other.members, view.members)) {
-        subsets.push_back(other.id);
-      }
-    }
-    module.subset_count = subsets.size();
-    for (chain::TokenId t : module.tokens) {
-      mu.token_to_module_.emplace(t, module.index);
-    }
-    mu.modules_.push_back(std::move(module));
-    mu.subset_rs_.push_back(std::move(subsets));
-  }
-
-  // Fresh tokens (Definition 8): universe tokens in no RS.
-  std::vector<chain::TokenId> fresh;
-  for (chain::TokenId t : universe) {
-    if (covered.count(t) == 0 && mu.token_to_module_.count(t) == 0) {
-      fresh.push_back(t);
-    }
-  }
-  std::sort(fresh.begin(), fresh.end());
-  fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
-  for (chain::TokenId t : fresh) {
-    Module module;
-    module.index = mu.modules_.size();
-    module.is_fresh = true;
-    module.tokens = {t};
-    module.subset_count = 0;
-    mu.token_to_module_.emplace(t, module.index);
-    mu.modules_.push_back(std::move(module));
-    mu.subset_rs_.emplace_back();
-  }
-
-  return mu;
+  return BuildInterned(universe, history, nullptr);
 }
 
 common::Result<ModuleUniverse> ModuleUniverse::Build(
     std::span<const chain::TokenId> universe,
     std::span<const chain::RsView> history,
-    const analysis::AnalysisContext& context) {
-  using common::Status;
-  using Local = analysis::AnalysisContext::Local;
-  constexpr Local kNoLocal = analysis::AnalysisContext::kNoLocal;
+    const AnalysisContext& context) {
   TM_CHECK(context.rs_count() == history.size());
-
+  TM_ASSIGN_OR_RETURN(ModulePartition partition,
+                      ModulePartition::Build(context, universe));
+  auto owned = std::make_shared<const ModulePartition>(std::move(partition));
   ModuleUniverse mu;
-
-  // Universe membership as a dense bitmap over token locals. Every
-  // universe token must be interned (the Build precondition), while a
-  // history token outside the universe is interned but unmarked.
-  std::vector<char> in_universe(context.token_count(), 0);
-  size_t distinct_universe = 0;
-  for (chain::TokenId t : universe) {
-    Local local = context.LocalOfToken(t);
-    TM_CHECK(local != kNoLocal);
-    if (in_universe[local] == 0) {
-      in_universe[local] = 1;
-      ++distinct_universe;
-    }
-  }
-  mu.token_count_ = distinct_universe;
-
-  for (size_t i = 0; i < history.size(); ++i) {
-    for (Local t : context.Members(static_cast<Local>(i))) {
-      if (in_universe[t] == 0) {
-        return Status::InvalidArgument(common::StrFormat(
-            "rs %llu contains token %llu outside the universe",
-            static_cast<unsigned long long>(history[i].id),
-            static_cast<unsigned long long>(context.token_id(t))));
-      }
-    }
-  }
-
-  // First practical configuration via the inverted index: a partial
-  // overlap needs a shared token, and among the RSs sharing one token
-  // laminarity means a subset chain, so checking size-adjacent pairs per
-  // token is exact. Near-linear in the incidence instead of O(|history|²);
-  // on a violation, defer to the pairwise scan so the reported offending
-  // pair matches the legacy diagnostics.
-  {
-    std::vector<Local> chain_rs;
-    for (Local t = 0; t < static_cast<Local>(context.token_count()); ++t) {
-      std::span<const Local> rs_list = context.RsOfToken(t);
-      if (rs_list.size() < 2) continue;
-      chain_rs.assign(rs_list.begin(), rs_list.end());
-      std::stable_sort(chain_rs.begin(), chain_rs.end(),
-                       [&](Local a, Local b) {
-                         return context.Members(a).size() <
-                                context.Members(b).size();
-                       });
-      for (size_t k = 0; k + 1 < chain_rs.size(); ++k) {
-        std::span<const Local> small = context.Members(chain_rs[k]);
-        std::span<const Local> big = context.Members(chain_rs[k + 1]);
-        if (!std::includes(big.begin(), big.end(), small.begin(),
-                           small.end())) {
-          return Build(universe, history);
-        }
-      }
-    }
-  }
-
-  // Super RS scan, identical to the legacy path but over a dense covered
-  // bitmap instead of a hash set.
-  std::vector<size_t> order(history.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return history[a].proposed_at > history[b].proposed_at;
-  });
-
-  std::vector<char> covered(context.token_count(), 0);
-  std::vector<size_t> super_indices;  // indices into history
-  for (size_t idx : order) {
-    std::span<const Local> members =
-        context.Members(static_cast<Local>(idx));
-    bool any_covered = false;
-    for (Local t : members) {
-      if (covered[t] != 0) {
-        any_covered = true;
-        break;
-      }
-    }
-    if (!any_covered) {
-      super_indices.push_back(idx);
-      for (Local t : members) covered[t] = 1;
-    }
-  }
-  std::sort(super_indices.begin(), super_indices.end());
-
-  // Subset lists without the per-super history scan: supers partition the
-  // covered tokens, so an RS can only be a subset of the super covering
-  // its first member; one inclusion test per history RS settles it. An
-  // empty member set would be a subset of every super — the legacy scan
-  // semantics — so that degenerate shape goes through the legacy path.
-  std::vector<uint32_t> super_of_token(context.token_count(), kNoLocal);
-  for (size_t s = 0; s < super_indices.size(); ++s) {
-    for (Local t : context.Members(static_cast<Local>(super_indices[s]))) {
-      super_of_token[t] = static_cast<uint32_t>(s);
-    }
-  }
-  std::vector<std::vector<chain::RsId>> subsets(super_indices.size());
-  for (size_t i = 0; i < history.size(); ++i) {
-    std::span<const Local> members = context.Members(static_cast<Local>(i));
-    if (members.empty()) return Build(universe, history);
-    uint32_t s = super_of_token[members.front()];
-    if (s == kNoLocal) continue;  // token uncovered: subset of no super
-    std::span<const Local> super_members =
-        context.Members(static_cast<Local>(super_indices[s]));
-    if (std::includes(super_members.begin(), super_members.end(),
-                      members.begin(), members.end())) {
-      subsets[s].push_back(history[i].id);
-    }
-  }
-
-  for (size_t s = 0; s < super_indices.size(); ++s) {
-    const chain::RsView& view = history[super_indices[s]];
-    Module module;
-    module.index = mu.modules_.size();
-    module.is_fresh = false;
-    module.super_rs = view.id;
-    module.tokens = view.members;
-    module.subset_count = subsets[s].size();
-    for (chain::TokenId t : module.tokens) {
-      mu.token_to_module_.emplace(t, module.index);
-    }
-    mu.modules_.push_back(std::move(module));
-    mu.subset_rs_.push_back(std::move(subsets[s]));
-  }
-
-  // Fresh tokens: universe tokens covered by no super.
-  std::vector<chain::TokenId> fresh;
-  for (chain::TokenId t : universe) {
-    if (covered[context.LocalOfToken(t)] == 0) fresh.push_back(t);
-  }
-  std::sort(fresh.begin(), fresh.end());
-  fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
-  for (chain::TokenId t : fresh) {
-    Module module;
-    module.index = mu.modules_.size();
-    module.is_fresh = true;
-    module.tokens = {t};
-    module.subset_count = 0;
-    mu.token_to_module_.emplace(t, module.index);
-    mu.modules_.push_back(std::move(module));
-    mu.subset_rs_.emplace_back();
-  }
-
+  mu.context_ = &context;
+  mu.partition_ = owned.get();
+  mu.owned_ = std::move(owned);
   return mu;
 }
 
-const Module& ModuleUniverse::module(size_t index) const {
-  TM_CHECK(index < modules_.size());
-  return modules_[index];
+common::Result<ModuleUniverse> ModuleUniverse::ForInstance(
+    std::span<const chain::TokenId> universe,
+    std::span<const chain::RsView> history, const AnalysisContext* context,
+    const chain::HtIndex* index) {
+  if (context == nullptr) return BuildInterned(universe, history, index);
+  if (!IsViewUniverse(*context, universe)) {
+    return Build(universe, history, *context);
+  }
+  TM_CHECK(context->rs_count() == history.size());
+  const common::Result<ModulePartition>& memo = context->Modules();
+  if (!memo.ok()) return memo.status();
+  ModuleUniverse mu;
+  mu.context_ = context;
+  mu.partition_ = &memo.value();
+  return mu;
+}
+
+Module ModuleUniverse::module(size_t index) const {
+  TM_CHECK(index < module_count());
+  Module module;
+  module.index = index;
+  module.is_fresh = partition_->is_fresh(index);
+  if (!module.is_fresh) {
+    module.super_rs = context_->rs_id(partition_->SuperRs(index));
+  }
+  for (AnalysisContext::Local t : partition_->Members(index)) {
+    module.tokens.push_back(context_->token_id(t));
+  }
+  module.subset_count = partition_->SubsetRs(index).size();
+  return module;
 }
 
 size_t ModuleUniverse::ModuleOfToken(chain::TokenId token) const {
-  auto it = token_to_module_.find(token);
-  TM_CHECK(it != token_to_module_.end());
-  return it->second;
+  AnalysisContext::Local local = context_->LocalOfToken(token);
+  TM_CHECK(local != AnalysisContext::kNoLocal);
+  AnalysisContext::Local module = partition_->ModuleOf(local);
+  TM_CHECK(module != AnalysisContext::kNoLocal);
+  return module;
 }
 
 std::vector<size_t> ModuleUniverse::FreshModuleIndices() const {
   std::vector<size_t> out;
-  for (const Module& m : modules_) {
-    if (m.is_fresh) out.push_back(m.index);
+  for (size_t m = partition_->super_count(); m < module_count(); ++m) {
+    out.push_back(m);
   }
   return out;
 }
 
 std::vector<size_t> ModuleUniverse::SuperRsModuleIndices() const {
   std::vector<size_t> out;
-  for (const Module& m : modules_) {
-    if (!m.is_fresh) out.push_back(m.index);
-  }
+  for (size_t m = 0; m < partition_->super_count(); ++m) out.push_back(m);
   return out;
 }
 
-const std::vector<chain::RsId>& ModuleUniverse::SubsetRsOf(
+std::vector<chain::RsId> ModuleUniverse::SubsetRsOf(
     size_t module_index) const {
-  TM_CHECK(module_index < subset_rs_.size());
-  return subset_rs_[module_index];
+  TM_CHECK(module_index < module_count());
+  std::vector<chain::RsId> out;
+  for (AnalysisContext::Local rs : partition_->SubsetRs(module_index)) {
+    out.push_back(context_->rs_id(rs));
+  }
+  return out;
 }
 
 }  // namespace tokenmagic::core

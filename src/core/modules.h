@@ -6,23 +6,34 @@
 // chains whose maximal elements — the *super RSs* — partition the covered
 // tokens. Tokens in no RS are *fresh*. A new RS is assembled from whole
 // modules: super RSs and/or fresh tokens.
+//
+// ModuleUniverse is the selectors' handle on one dense
+// analysis::ModulePartition plus the AnalysisContext whose ids it uses.
+// The module-based selectors obtain it through ForInstance(), which reuses
+// the partition memoized on the instance's sealed context view when the
+// universe is exactly that view's token set (built once per view, on the
+// first selection against it), and otherwise builds one per call — over
+// the instance's context, or over a context interned for the call when
+// the instance has none. Both paths yield the same partition type, so
+// one set of greedy loops serves them (DESIGN.md decision 14).
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "analysis/context.h"
+#include "analysis/module_partition.h"
+#include "chain/ht_index.h"
 #include "chain/types.h"
 #include "common/status.h"
 
-namespace tokenmagic::analysis {
-class AnalysisContext;
-}  // namespace tokenmagic::analysis
-
 namespace tokenmagic::core {
 
-/// One selectable unit: a super RS or a single fresh token.
+/// One selectable unit: a super RS or a single fresh token, materialized
+/// with external ids (diagnostics and tests; the selectors read the dense
+/// partition instead).
 struct Module {
   /// Dense module index within its universe.
   size_t index = 0;
@@ -44,27 +55,37 @@ class ModuleUniverse {
   /// Builds the decomposition. `history` must be the RSs over `universe`
   /// (e.g. the related RS set of the batch) in proposal order and must
   /// respect the first practical configuration; a violating history yields
-  /// an InvalidArgument status.
+  /// an InvalidArgument status. Interns `history` and `universe` into a
+  /// context owned by the result.
   [[nodiscard]] static common::Result<ModuleUniverse> Build(
       std::span<const chain::TokenId> universe,
       std::span<const chain::RsView> history);
 
-  /// Context fast path: identical output, but the practical-configuration
-  /// check and the subset counting walk the snapshot's inverted index
-  /// instead of comparing all RS pairs — near-linear in the history
-  /// incidence rather than quadratic in |history|. `context` must have
-  /// been built from exactly this `history` span (and a universe covering
-  /// `universe`); on a configuration violation this falls back to the
-  /// pairwise scan so the reported offending pair matches the legacy
-  /// path.
+  /// Same decomposition over a caller-owned context, which must have been
+  /// built from exactly this `history` span (and a universe covering
+  /// `universe`) and must outlive the result. Always builds; see
+  /// ForInstance() for the memoized path.
   [[nodiscard]] static common::Result<ModuleUniverse> Build(
       std::span<const chain::TokenId> universe,
       std::span<const chain::RsView> history,
       const analysis::AnalysisContext& context);
 
-  const std::vector<Module>& modules() const { return modules_; }
-  size_t module_count() const { return modules_.size(); }
-  const Module& module(size_t index) const;
+  /// The decomposition a selection over (`universe`, `history`) runs on.
+  /// With a `context` whose interned token set equals `universe` (checked
+  /// by content) this is the view's memoized partition; otherwise it is
+  /// built per call as by the Build overloads above.
+  [[nodiscard]] static common::Result<ModuleUniverse> ForInstance(
+      std::span<const chain::TokenId> universe,
+      std::span<const chain::RsView> history,
+      const analysis::AnalysisContext* context, const chain::HtIndex* index);
+
+  size_t module_count() const { return partition_->module_count(); }
+  /// Materialized copy of one module.
+  Module module(size_t index) const;
+  /// Token count of one module.
+  size_t module_size(size_t index) const {
+    return partition_->ModuleSize(index);
+  }
 
   /// Index of the module containing `token` (every universe token is in
   /// exactly one module).
@@ -75,17 +96,33 @@ class ModuleUniverse {
   std::vector<size_t> SuperRsModuleIndices() const;
 
   /// History RSs whose members are subsets of the given module's token set
-  /// (empty for fresh modules). Used for immutability re-checks.
-  const std::vector<chain::RsId>& SubsetRsOf(size_t module_index) const;
+  /// (empty for fresh modules).
+  std::vector<chain::RsId> SubsetRsOf(size_t module_index) const;
 
   /// Total tokens across all modules (== universe size).
-  size_t token_count() const { return token_count_; }
+  size_t token_count() const { return partition_->token_count(); }
+
+  /// The dense partition and the context whose ids it is expressed in.
+  const analysis::ModulePartition& partition() const { return *partition_; }
+  const analysis::AnalysisContext& context() const { return *context_; }
 
  private:
-  std::vector<Module> modules_;
-  std::vector<std::vector<chain::RsId>> subset_rs_;  // per module
-  std::unordered_map<chain::TokenId, size_t> token_to_module_;
-  size_t token_count_ = 0;
+  ModuleUniverse() = default;
+
+  /// Per-call path without a caller context: interns (`history`,
+  /// `universe`, HTs from `index`) and partitions that context.
+  [[nodiscard]] static common::Result<ModuleUniverse> BuildInterned(
+      std::span<const chain::TokenId> universe,
+      std::span<const chain::RsView> history, const chain::HtIndex* index);
+
+  // tm-owns: per-call storage (owner id: owned_) — an interned context
+  // and/or a partition; null when both are borrowed.
+  std::shared_ptr<const void> owned_;
+  // tm-borrows(owned_): the instance's context (kept alive by its caller)
+  // or the context in owned_.
+  const analysis::AnalysisContext* context_ = nullptr;
+  // Points into owned_ or into context_'s memo.
+  const analysis::ModulePartition* partition_ = nullptr;
 };
 
 }  // namespace tokenmagic::core

@@ -37,9 +37,10 @@ std::string DegradationReport::ToString() const {
       total_seconds, static_cast<unsigned long long>(total_iterations));
   for (const StageAttempt& a : attempts) {
     out += common::StrFormat(
-        " [%s:%s %.3fs it=%llu rx=%d]", a.stage.c_str(),
-        common::StatusCodeToString(a.outcome), a.seconds_spent,
-        static_cast<unsigned long long>(a.iterations), a.relaxation_steps);
+        " [%s:%s%s %.3fs it=%llu rx=%d]", a.stage.c_str(),
+        common::StatusCodeToString(a.outcome), a.skipped ? " skipped" : "",
+        a.seconds_spent, static_cast<unsigned long long>(a.iterations),
+        a.relaxation_steps);
   }
   return out;
 }
@@ -148,7 +149,10 @@ common::Result<ResilientSelection> ResilientSelector::SelectWithReport(
       report.attempts.push_back(record);
       report.stage = record.stage;
       report.stage_index = stage_index;
-      report.degraded = stage_index > 0 || record.relaxation_steps > 0;
+      report.degraded =
+          record.relaxation_steps > 0 ||
+          std::any_of(report.attempts.begin(), report.attempts.end() - 1,
+                      [](const StageAttempt& a) { return !a.skipped; });
       report.satisfied_requirement = satisfied;
       report.total_seconds = overall.ElapsedSeconds();
       report.total_iterations = overall.iterations_used();
@@ -160,6 +164,8 @@ common::Result<ResilientSelection> ResilientSelector::SelectWithReport(
 
     record.outcome = status.code();
     record.detail = status.message();
+    record.skipped = status.code() == common::StatusCode::kInvalidArgument &&
+                     record.iterations == 0;
     report.attempts.push_back(std::move(record));
     switch (status.code()) {
       case common::StatusCode::kTimeout:

@@ -13,7 +13,8 @@
 //
 // The selector never degrades silently: every Select is accompanied by a
 // structured DegradationReport naming the stage that produced the ring,
-// the budgets each stage spent, and the requirement the returned ring
+// the budgets each stage spent, which stages were skipped because they
+// cannot apply to the instance, and the requirement the returned ring
 // actually satisfies. A degraded ring must still pass the eligibility
 // checks for its reported requirement — candidates that fail the final
 // re-validation are rejected and the ladder continues — so callers can
@@ -38,6 +39,10 @@ struct StageAttempt {
   double seconds_spent = 0.0;         ///< wall budget this stage consumed
   uint64_t iterations = 0;            ///< iteration budget consumed
   int relaxation_steps = 0;           ///< relaxation depth reached (ok only)
+  /// The stage rejected the instance with InvalidArgument before doing
+  /// any work (e.g. BFS above its universe cap): it could not apply, so
+  /// falling past it does not by itself degrade the result.
+  bool skipped = false;
 };
 
 /// Structured account of how a resilient selection was produced.
@@ -47,8 +52,10 @@ struct DegradationReport {
   /// Name of the stage that produced the ring ("" when all failed).
   std::string stage;
   size_t stage_index = 0;
-  /// True when a fallback stage (index > 0) or a relaxed requirement was
-  /// needed — the caller should log/alert on degraded selections.
+  /// True when a stage that applied to the instance failed before the
+  /// winning one (timeout, unsatisfiable, invalid ring) or the requirement
+  /// was relaxed — the caller should log/alert on degraded selections.
+  /// Skipped stages do not count.
   bool degraded = false;
   /// The requirement the returned ring actually satisfies (equals the
   /// requested requirement when relaxation_steps == 0).

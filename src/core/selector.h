@@ -43,9 +43,14 @@ struct SelectionInput {
   const chain::HtIndex* index = nullptr;
   /// Optional interned snapshot of `history` (+ `universe` tokens), built
   /// once per block/batch and shared by every target and ladder stage.
-  /// When set, it must have been built from exactly the same history span;
-  /// selectors then take the context fast paths (CSR related-set walks,
-  /// dense cascade) instead of re-interning per call.
+  /// When set, it must have been built from exactly the same history span
+  /// and with the same HT index as `index`; selectors then take the
+  /// context fast paths (CSR related-set walks, dense cascade) instead of
+  /// re-interning per call. When `universe` is exactly the context's token
+  /// set, the module-based selectors also reuse the module partition
+  /// memoized on it (AnalysisContext::Modules): the first such selection
+  /// builds it, every later one against the same view or a copy of it
+  /// shares it.
   // tm-borrows(caller): owned by the caller's batch snapshot alongside
   // the `history` storage it was interned from.
   const analysis::AnalysisContext* context = nullptr;
@@ -78,8 +83,8 @@ inline void TickDeadline(const SelectionInput& input, uint64_t steps = 1) {
 /// A selected ring signature (member set including the target).
 struct SelectionResult {
   std::vector<chain::TokenId> members;  ///< sorted ascending
-  /// Modules chosen (indices into the ModuleUniverse the selector built);
-  /// empty for selectors that do not use the module decomposition (BFS).
+  /// Modules chosen (indices into the instance's ModuleUniverse); empty
+  /// for selectors that do not use the module decomposition (BFS).
   std::vector<size_t> chosen_modules;
   /// Selector-reported iteration count (greedy steps / best-response
   /// rounds / BFS candidates examined) for instrumentation.

@@ -111,7 +111,9 @@ struct Response {
   /// The requirement the ring actually satisfies (== requested unless the
   /// ladder relaxed it; meaningless on error).
   chain::DiversityRequirement satisfied;
-  /// True when a fallback stage or a relaxed requirement was needed.
+  /// True when a ladder stage that applied to the instance failed before
+  /// the winning one, or the requirement was relaxed (stages skipped as
+  /// inapplicable, such as BFS above its universe cap, do not count).
   bool degraded = false;
   /// Ladder stage that produced the ring ("TM_B", "TM_P", ...).
   std::string stage;

@@ -103,7 +103,7 @@ struct ServerStats {
   uint64_t decode_errors = 0;
   uint64_t admitted = 0;
   uint64_t ok = 0;
-  uint64_t degraded = 0;  ///< subset of ok that used a fallback/relaxation
+  uint64_t degraded = 0;  ///< subset of ok whose DegradationReport is degraded
   uint64_t shed_overloaded = 0;
   uint64_t cancelled = 0;
   uint64_t timeouts = 0;

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
+#include "analysis/context.h"
+#include "analysis/epoch_chain.h"
+#include "core/progressive.h"
+
 namespace tokenmagic::core {
 namespace {
 
@@ -16,6 +22,19 @@ RsView View(chain::RsId id, std::vector<TokenId> members) {
   std::sort(v.members.begin(), v.members.end());
   v.proposed_at = id;
   return v;
+}
+
+/// External ids of the HTs the chosen modules cover.
+std::unordered_set<TxId> CoveredHts(const ModuleSelectionState& state) {
+  std::unordered_set<TxId> out;
+  for (size_t h = 0; h < state.ht_tokens.size(); ++h) {
+    if (state.ht_tokens[h] != 0) {
+      out.insert(state.mu.context().ht_id(
+          static_cast<analysis::AnalysisContext::Local>(h)));
+    }
+  }
+  EXPECT_EQ(out.size(), state.covered_hts);
+  return out;
 }
 
 struct Fixture {
@@ -51,8 +70,8 @@ TEST(InitModuleStateTest, SeedsWithTargetModule) {
   EXPECT_EQ(state->chosen.size(), 1u);
   EXPECT_EQ(state->chosen[0], state->target_module);
   EXPECT_EQ(state->token_size, 1u);  // target 5 is a fresh token
-  EXPECT_EQ(state->covered_hts.size(), 1u);
-  EXPECT_TRUE(state->covered_hts.count(500));
+  EXPECT_EQ(CoveredHts(*state).size(), 1u);
+  EXPECT_TRUE(CoveredHts(*state).count(500));
   // 4 modules total (2 supers + 2 fresh); 3 remaining.
   EXPECT_EQ(state->mu.module_count(), 4u);
   EXPECT_EQ(state->remaining.size(), 3u);
@@ -64,7 +83,7 @@ TEST(InitModuleStateTest, TargetInSuperRsSeedsWholeModule) {
   auto state = InitModuleState(fx.input);
   ASSERT_TRUE(state.ok());
   EXPECT_EQ(state->token_size, 2u);
-  EXPECT_EQ(state->covered_hts.size(), 1u);  // both tokens share h1
+  EXPECT_EQ(CoveredHts(*state).size(), 1u);  // both tokens share h1
 }
 
 TEST(ChooseUnchooseTest, RoundTripRestoresState) {
@@ -73,18 +92,18 @@ TEST(ChooseUnchooseTest, RoundTripRestoresState) {
   ASSERT_TRUE(state.ok());
   size_t other = state->remaining[0];
   size_t size_before = state->token_size;
-  auto hts_before = state->covered_hts;
+  auto hts_before = CoveredHts(*state);
   size_t remaining_before = state->remaining.size();
 
-  ChooseModule(&*state, fx.index, other);
+  ChooseModule(&*state, other);
   EXPECT_EQ(state->chosen.size(), 2u);
   EXPECT_GT(state->token_size, size_before);
   EXPECT_EQ(state->remaining.size(), remaining_before - 1);
 
-  UnchooseModule(&*state, fx.index, other);
+  UnchooseModule(&*state, other);
   EXPECT_EQ(state->chosen.size(), 1u);
   EXPECT_EQ(state->token_size, size_before);
-  EXPECT_EQ(state->covered_hts, hts_before);
+  EXPECT_EQ(CoveredHts(*state), hts_before);
   EXPECT_EQ(state->remaining.size(), remaining_before);
 }
 
@@ -104,20 +123,20 @@ TEST(ChooseUnchooseTest, SharedHtSurvivesRemoval) {
   ASSERT_TRUE(state.ok());
   size_t m1 = state->mu.ModuleOfToken(1);
   size_t m2 = state->mu.ModuleOfToken(2);
-  ChooseModule(&*state, index, m1);
-  ChooseModule(&*state, index, m2);
-  EXPECT_TRUE(state->covered_hts.count(100));
-  UnchooseModule(&*state, index, m2);
-  EXPECT_TRUE(state->covered_hts.count(100));  // still via module m1
+  ChooseModule(&*state, m1);
+  ChooseModule(&*state, m2);
+  EXPECT_TRUE(CoveredHts(*state).count(100));
+  UnchooseModule(&*state, m2);
+  EXPECT_TRUE(CoveredHts(*state).count(100));  // still via module m1
 }
 
 TEST(GreedyCoverHtsTest, StopsExactlyAtEll) {
   Fixture fx;
   auto state = InitModuleState(fx.input);
   ASSERT_TRUE(state.ok());
-  auto steps = GreedyCoverHts(&*state, fx.index, 3);
+  auto steps = GreedyCoverHts(&*state, 3);
   ASSERT_TRUE(steps.ok());
-  EXPECT_GE(state->covered_hts.size(), 3u);
+  EXPECT_GE(CoveredHts(*state).size(), 3u);
   // Greedy must not overshoot by more than one module's worth.
   EXPECT_LE(*steps, 2u);
 }
@@ -129,7 +148,7 @@ TEST(GreedyCoverHtsTest, PrefersCheapHtsPerToken) {
   // Needing 2 HTs: fresh token 6 (1 token, 1 new HT, alpha = 1) beats
   // super {3,4} (2 tokens, 2 new HTs, alpha = 2/min(1,2)=2) and super
   // {1,2} (2 tokens, 1 new HT, alpha = 2).
-  auto steps = GreedyCoverHts(&*state, fx.index, 2);
+  auto steps = GreedyCoverHts(&*state, 2);
   ASSERT_TRUE(steps.ok());
   EXPECT_EQ(*steps, 1u);
   auto members = MaterializeCandidate(state->mu, state->chosen);
@@ -140,19 +159,75 @@ TEST(GreedyCoverHtsTest, UnsatisfiableWhenHtsRunOut) {
   Fixture fx;
   auto state = InitModuleState(fx.input);
   ASSERT_TRUE(state.ok());
-  auto steps = GreedyCoverHts(&*state, fx.index, 99);
+  auto steps = GreedyCoverHts(&*state, 99);
   EXPECT_FALSE(steps.ok());
   EXPECT_TRUE(steps.status().IsUnsatisfiable());
 }
 
+// A universe token the index does not know, outside the target's module,
+// used to reach HtIndex::HtOf inside the HT-cover greedy and abort the
+// process. The partition now checks every universe token's HT once, and
+// selection returns an InvalidArgument naming the token.
+TEST(InitModuleStateTest, UnknownHtIsInvalidArgumentWithoutContext) {
+  Fixture fx;
+  chain::HtIndex partial;  // token 6 (a fresh module) has no HT
+  for (TokenId t : {1, 2, 3, 4, 5}) partial.Set(t, fx.index.HtOf(t));
+  fx.input.index = &partial;
+  fx.input.requirement = {2.0, 4};  // phase 1 must look past the target
+
+  auto state = InitModuleState(fx.input);
+  ASSERT_FALSE(state.ok());
+  EXPECT_TRUE(state.status().IsInvalidArgument());
+  EXPECT_NE(state.status().message().find("token 6"), std::string::npos)
+      << state.status().message();
+
+  ProgressiveSelector selector;
+  auto result = selector.Select(fx.input, nullptr);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument());
+}
+
+TEST(InitModuleStateTest, UnknownHtIsInvalidArgumentWithContext) {
+  Fixture fx;
+  chain::HtIndex partial;
+  for (TokenId t : {1, 2, 3, 4, 5}) partial.Set(t, fx.index.HtOf(t));
+  fx.input.index = &partial;
+  fx.input.requirement = {2.0, 4};
+
+  // A built context and a chained view, both interned with the partial
+  // index: the memoized partition carries the same verdict.
+  analysis::AnalysisContext built =
+      analysis::AnalysisContext::Build(fx.history, &partial, fx.universe);
+  analysis::EpochChain chain;
+  chain.Append(fx.history, &partial, fx.universe);
+  analysis::AnalysisContext view = chain.View();
+  for (const analysis::AnalysisContext* context : {&built, &view}) {
+    fx.input.context = context;
+    for (int repeat = 0; repeat < 2; ++repeat) {  // fill, then memo hit
+      ProgressiveSelector selector;
+      auto result = selector.Select(fx.input, nullptr);
+      ASSERT_FALSE(result.ok());
+      EXPECT_TRUE(result.status().IsInvalidArgument());
+      EXPECT_NE(result.status().message().find("token 6"), std::string::npos)
+          << result.status().message();
+    }
+  }
+}
+
 TEST(ModuleHtsTest, DistinctHtsOfModule) {
+  // Super {1,2}: two tokens, one distinct HT (h1 = 100). Choosing it
+  // counts that HT once.
   Fixture fx;
   auto state = InitModuleState(fx.input);
   ASSERT_TRUE(state.ok());
-  const Module& super1 = state->mu.module(state->mu.ModuleOfToken(1));
-  auto hts = ModuleHts(super1, fx.index);
-  EXPECT_EQ(hts.size(), 1u);
-  EXPECT_TRUE(hts.count(100));
+  size_t super1 = state->mu.ModuleOfToken(1);
+  EXPECT_EQ(state->mu.module_size(super1), 2u);
+  auto before = CoveredHts(*state);
+  ChooseModule(&*state, super1);
+  auto after = CoveredHts(*state);
+  EXPECT_EQ(after.size(), before.size() + 1);
+  EXPECT_TRUE(after.count(100));
+  EXPECT_FALSE(before.count(100));
 }
 
 }  // namespace

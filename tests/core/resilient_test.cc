@@ -198,6 +198,9 @@ TEST(ResilientSelectorTest, LadderCompletesTheInstanceBfsCannot) {
   const DegradationReport& report = selection->report;
   EXPECT_TRUE(report.degraded);
   EXPECT_FALSE(report.stage.empty());
+  // BFS ran and timed out: a failure, not a skip.
+  EXPECT_EQ(report.attempts.front().outcome, common::StatusCode::kTimeout);
+  EXPECT_FALSE(report.attempts.front().skipped);
   // The winning ring is valid under the requirement the report admits to.
   EXPECT_TRUE(analysis::SatisfiesRecursiveDiversity(
       selection->result.members, inst.index, report.satisfied_requirement));
@@ -209,6 +212,43 @@ TEST(ResilientSelectorTest, LadderCompletesTheInstanceBfsCannot) {
   EXPECT_EQ(report.attempts.back().stage, report.stage);
   EXPECT_EQ(report.attempts.back().outcome, common::StatusCode::kOk);
   EXPECT_FALSE(report.ToString().empty());
+}
+
+// BFS cannot apply above its universe cap, so it is skipped, not failed:
+// a ring the next stage finds at the requested requirement is not
+// degraded.
+TEST(ResilientSelectorTest, SkippedBfsAboveTheCapIsNotDegraded) {
+  SelectionInput input;
+  chain::HtIndex index;
+  std::vector<TokenId> universe;
+  std::vector<RsView> history;
+  for (TokenId t = 1; t <= 30; ++t) {  // above the ladder's cap of 24
+    index.Set(t, t);  // every token its own HT
+    universe.push_back(t);
+  }
+  history.push_back(View(1, {1, 2}));
+  input.universe = universe;
+  input.history = history;
+  input.target = 5;
+  input.requirement = {2.0, 3};
+  input.index = &index;
+
+  ResilientOptions options;
+  options.allow_relaxation = false;
+  ResilientSelector selector(options);
+  common::Rng rng(3);
+  auto selection = selector.SelectWithReport(input, &rng);
+  ASSERT_TRUE(selection.ok()) << selection.status().ToString();
+  const DegradationReport& report = selection->report;
+  EXPECT_FALSE(report.degraded) << report.ToString();
+  EXPECT_EQ(report.stage, "TM_P");
+  EXPECT_EQ(report.stage_index, 1u);
+  ASSERT_EQ(report.attempts.size(), 2u);
+  EXPECT_EQ(report.attempts[0].stage, "TM_B");
+  EXPECT_EQ(report.attempts[0].outcome, common::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(report.attempts[0].skipped);
+  EXPECT_FALSE(report.attempts[1].skipped);
+  EXPECT_NE(report.ToString().find("skipped"), std::string::npos);
 }
 
 // Iteration budgets are deterministic: a tiny budget must abort the exact

@@ -70,7 +70,7 @@ TEST(GreedyCoverHtsTest, Example3Phase1PicksS2) {
   Example3 fx;
   auto state = InitModuleState(fx.input);
   ASSERT_TRUE(state.ok());
-  auto steps = GreedyCoverHts(&*state, fx.index, 4);
+  auto steps = GreedyCoverHts(&*state, 4);
   ASSERT_TRUE(steps.ok());
   // r_tau = s3 ∪ s2 after the first loop (paper trace).
   auto members = MaterializeCandidate(state->mu, state->chosen);
