@@ -8,8 +8,10 @@
 
 #include "bench_common.h"
 #include "analysis/chain_reaction.h"
-#include "analysis/incremental.h"
+#include "analysis/context.h"
+#include "analysis/epoch_chain.h"
 #include "analysis/matching.h"
+#include "reference/span_analysis.h"
 
 namespace tokenmagic::bench {
 namespace {
@@ -82,16 +84,19 @@ BENCHMARK(BM_ChainReactionAnalyze)->DenseRange(2, 14, 4)
 void BM_ChainReactionCascade(benchmark::State& state) {
   auto views = OverlappingFamily(static_cast<size_t>(state.range(0)), 4);
   for (auto _ : state) {
-    auto result = analysis::ChainReactionAnalyzer::Cascade(views);
+    auto result = analysis::ChainReactionAnalyzer::Cascade(
+        analysis::AnalysisContext::Build(views));
     benchmark::DoNotOptimize(&result);
   }
 }
 BENCHMARK(BM_ChainReactionCascade)->DenseRange(2, 14, 4)
     ->Unit(benchmark::kMicrosecond);
 
-// Online liquidity checking: batch recompute per arrival vs the
-// incremental cascade. The workload feeds m RSs one by one and asks for
-// the inferable-spent count after each (the TokenMagic η-rule pattern).
+// Online liquidity checking. The workload feeds m RSs one by one and
+// asks for the inferable-spent count after each (the TokenMagic η-rule
+// pattern). The reference side recomputes the frozen span cascade over
+// the whole prefix per arrival; the production side appends the arrival
+// to an EpochChain as one epoch and runs the dense cascade on the view.
 void BM_LiquidityBatchRecompute(benchmark::State& state) {
   auto views = OverlappingFamily(static_cast<size_t>(state.range(0)), 4);
   for (auto _ : state) {
@@ -99,7 +104,7 @@ void BM_LiquidityBatchRecompute(benchmark::State& state) {
     std::vector<chain::RsView> prefix;
     for (const auto& view : views) {
       prefix.push_back(view);
-      total += analysis::ChainReactionAnalyzer::CountInferableSpent(prefix);
+      total += reference::CountInferableSpent(prefix);
     }
     benchmark::DoNotOptimize(total);
   }
@@ -107,19 +112,27 @@ void BM_LiquidityBatchRecompute(benchmark::State& state) {
 BENCHMARK(BM_LiquidityBatchRecompute)->DenseRange(8, 40, 8)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_LiquidityIncremental(benchmark::State& state) {
+void BM_LiquidityEpochChain(benchmark::State& state) {
   auto views = OverlappingFamily(static_cast<size_t>(state.range(0)), 4);
   for (auto _ : state) {
     size_t total = 0;
-    analysis::IncrementalCascade cascade;
+    analysis::EpochChain chain;
+    chain::TokenId next_token = 0;
     for (const auto& view : views) {
-      cascade.Add(view);
-      total += cascade.InferableSpentCount();
+      // The arrival's members not interned yet (members ascend).
+      std::vector<chain::TokenId> fresh;
+      for (chain::TokenId t : view.members) {
+        if (t >= next_token) fresh.push_back(t);
+      }
+      if (!fresh.empty()) next_token = fresh.back() + 1;
+      chain.Append(std::span<const chain::RsView>(&view, 1), nullptr, fresh);
+      total += analysis::ChainReactionAnalyzer::CountInferableSpent(
+          chain.View());
     }
     benchmark::DoNotOptimize(total);
   }
 }
-BENCHMARK(BM_LiquidityIncremental)->DenseRange(8, 40, 8)
+BENCHMARK(BM_LiquidityEpochChain)->DenseRange(8, 40, 8)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Context throughput: legacy per-call interning vs the shared
 // AnalysisContext on the three hot read paths — related-set walks, the
 // chain-reaction cascade, and one full batch-selection round — at 1k and
-// 10k history RSs. Emits machine-readable BENCH_context.json (override
+// 10k history RSs. The legacy side of the first two phases is the frozen
+// span-based code in tests/reference/; the legacy selection round interns
+// a one-shot context per target. Emits machine-readable BENCH_context.json (override
 // the path with TM_BENCH_JSON). `--smoke` (or TM_SMOKE=1) keeps both
 // scales but shrinks the query counts for a quick local look; its
 // end-to-end speedups are not comparable to the committed full-run
@@ -21,6 +23,7 @@
 #include "core/selector.h"
 #include "data/dataset.h"
 #include "data/synthetic.h"
+#include "reference/span_analysis.h"
 
 namespace tokenmagic::bench {
 namespace {
@@ -103,7 +106,7 @@ ScaleResult RunScale(size_t num_rs, const BenchConfig& config) {
       const chain::RsView& seed =
           dataset.history[(q * 97) % dataset.history.size()];
       checksum_legacy +=
-          analysis::ComputeRelatedSet(seed.members, dataset.history)
+          reference::ComputeRelatedSet(seed.members, dataset.history)
               .related.size();
     }
     phase.legacy_ms = MillisSince(start);
@@ -129,8 +132,8 @@ ScaleResult RunScale(size_t num_rs, const BenchConfig& config) {
     size_t spent_context = 0;
     start = std::chrono::steady_clock::now();
     for (size_t r = 0; r < phase.queries; ++r) {
-      spent_legacy = analysis::ChainReactionAnalyzer::Cascade(dataset.history)
-                         .spent_tokens.size();
+      spent_legacy =
+          reference::Cascade(dataset.history).spent_tokens.size();
     }
     phase.legacy_ms = MillisSince(start);
     start = std::chrono::steady_clock::now();
@@ -147,8 +150,8 @@ ScaleResult RunScale(size_t num_rs, const BenchConfig& config) {
   }
 
   // Phase 3: one batch-selection round — TM_P over a slate of fresh
-  // targets, first without the snapshot (per-call interning) and then
-  // sharing the context across every target, as the node does per block.
+  // targets, first interning a one-shot context per target and then
+  // sharing one context across every target, as the node does per block.
   {
     PhaseResult phase{"selection_round", config.selection_targets, 0.0, 0.0};
     const core::ProgressiveSelector selector;
@@ -164,8 +167,10 @@ ScaleResult RunScale(size_t num_rs, const BenchConfig& config) {
     common::Rng rng(0xc0de);
     start = std::chrono::steady_clock::now();
     for (size_t q = 0; q < phase.queries; ++q) {
-      input.target = unspent[(q * 131) % unspent.size()];
-      if (selector.Select(input, &rng).ok()) ++solved_legacy;
+      core::SelectionInput interned = input;
+      interned.target = unspent[(q * 131) % unspent.size()];
+      core::InternInstance(&interned);
+      if (selector.Select(interned, &rng).ok()) ++solved_legacy;
     }
     phase.legacy_ms = MillisSince(start);
 

@@ -62,9 +62,11 @@ void BM_Fig4_IthRs(benchmark::State& state) {
   for (int i = 1; i < target_i; ++i) {
     bool committed = false;
     while (spent_cursor < scale.universe.size() - 1 && !committed) {
-      input.history = history;
-      input.target = scale.universe[spent_cursor++];
-      auto result = bfs.Select(input, &rng);
+      core::SelectionInput attempt = input;
+      attempt.history = history;
+      attempt.target = scale.universe[spent_cursor++];
+      core::InternInstance(&attempt);
+      auto result = bfs.Select(attempt, &rng);
       if (!result.ok()) continue;
       chain::RsView view;
       view.id = static_cast<chain::RsId>(i);
@@ -84,6 +86,7 @@ void BM_Fig4_IthRs(benchmark::State& state) {
   // full exponential exploration, which is exactly Figure 4's subject.
   input.history = history;
   input.target = scale.universe[spent_cursor];
+  core::InternInstance(&input);
   bool timed_out = false;
   bool satisfiable = true;
   for (auto _ : state) {

@@ -58,10 +58,11 @@ AttackOutcome RunScenario(const core::MixinSelector& selector,
       if (!instance.ok()) continue;
       // Swap in the shadow history: the vector must outlive the Select
       // call (SelectionInput::history is a span), and the framework's
-      // context describes the real ledger, not the shadow one.
+      // context describes the real ledger, not the shadow one, so the
+      // shadow history is interned for this call.
       std::vector<chain::RsView> shadow_views = shadow_ledger.Views();
       instance->history = shadow_views;
-      instance->context = nullptr;
+      core::InternInstance(&*instance);
       auto result = selector.Select(*instance, &rng);
       if (!result.ok()) continue;
       (void)shadow_ledger.Propose(result->members, target, req);

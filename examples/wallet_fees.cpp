@@ -33,6 +33,7 @@ Bill RunWallet(const data::Dataset& ds, const core::MixinSelector& selector,
   input.history = ds.history;
   input.requirement = req;
   input.index = &ds.index;
+  core::InternInstance(&input);
 
   Bill bill;
   auto unspent = ds.UnspentTokens();

@@ -56,34 +56,28 @@ struct AnalysisResult {
 
 class ChainReactionAnalyzer {
  public:
-  /// Exact matching-based analysis of `history` under `side_info`.
-  /// Every member token of every RS is tested for possible-spend-ness.
+  /// Exact matching-based analysis of `history` (ascending RS ids) under
+  /// `side_info`. Every member token of every RS is tested for
+  /// possible-spend-ness.
   static AnalysisResult Analyze(std::span<const chain::RsView> history,
                                 const SideInformation& side_info = {});
 
   /// Polynomial cascade only (Theorem 4.1 neighbor-set rule + zero-mixin
-  /// propagation). Sound but not complete: it finds a subset of what
-  /// Analyze finds. Returns the set of provably spent tokens and any RSs
-  /// whose spend it pinned down.
-  static AnalysisResult Cascade(std::span<const chain::RsView> history,
-                                const SideInformation& side_info = {});
-
-  /// Context-based cascade: same result as the span overload (asserted by
-  /// the equivalence suite), computed over the snapshot's CSR incidence
-  /// with dense frontiers instead of per-iteration hash maps.
+  /// propagation) over the context's history, computed on its CSR
+  /// incidence with dense frontiers. Sound but not complete: it finds a
+  /// subset of what Analyze finds. Returns the set of provably spent
+  /// tokens and any RSs whose spend it pinned down.
   static AnalysisResult Cascade(const AnalysisContext& context,
                                 const SideInformation& side_info = {});
 
-  /// Number of tokens in `universe` that the cascade can prove spent —
-  /// the μ_i quantity of the TokenMagic liquidity rule (Section 4).
-  static size_t CountInferableSpent(std::span<const chain::RsView> history);
-
-  /// Context-based μ_i count.
+  /// Number of tokens the cascade can prove spent — the μ_i quantity of
+  /// the TokenMagic liquidity rule (Section 4).
   static size_t CountInferableSpent(const AnalysisContext& context);
 
   /// μ_i with one prospective `overlay` RS appended to the context's
-  /// history — the TokenMagic liquidity probe. Equivalent to interning an
-  /// extended history from scratch (the equivalence suite asserts it) but
+  /// history — the TokenMagic liquidity probe (the η rule). Equivalent to
+  /// interning an extended history from scratch (the equivalence suite
+  /// asserts it) but
   /// O(cascade) instead of O(history) per probe: the overlay rides on the
   /// snapshot's CSR incidence as one extra dense RS. Every overlay member
   /// must be interned in `context` (prospective rings draw from the batch

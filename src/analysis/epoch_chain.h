@@ -1,25 +1,26 @@
-// Epoch-chained incremental AnalysisContext producer.
+// Epoch-chained AnalysisContext producer — the only one.
 //
-// AnalysisContext::Build re-interns the whole history, so rebuilding per
-// mined block makes a chain of N blocks pay O(history) N times. EpochChain
-// is the O(delta) producer: each Append() seals one *epoch segment* —
-// dense-id extensions of the token/RS columns, a CSR segment for the new
-// RS -> member edges, per-token tail entries for the token -> RS inverted
-// index, and the token -> HT column tail — onto shared append-only
-// storage, and View() returns an ordinary AnalysisContext over the sealed
-// prefix in O(1). Sealed views are immutable and keep the shared core
-// alive, so they stay valid (and byte-identical to a from-scratch Build of
-// the same prefix — the equivalence suite asserts this at every height)
-// across any number of later appends.
+// Interning a whole history per mined block would make a chain of N
+// blocks pay O(history) N times. EpochChain is the O(delta) producer:
+// each Append() seals one *epoch segment* — dense-id extensions of the
+// token/RS columns, a CSR segment for the new RS -> member edges,
+// per-token tail entries for the token -> RS inverted index, and the
+// token -> HT column tail — onto shared append-only storage, and View()
+// returns an ordinary AnalysisContext over the sealed prefix in O(1).
+// AnalysisContext::Build is a one-shot chain (one Append, then View()).
+// Sealed views are immutable and keep the shared core alive, so they stay
+// valid (and byte-identical to a sort-based intern of the same prefix —
+// the equivalence suite asserts this against a frozen oracle at every
+// height) across any number of later appends.
 //
 // Dense-id preconditions (TM_CHECKed): appended tokens are ascending and
 // greater than every interned token; appended RS ids are ascending and
 // greater than every interned RS id; every member of an appended RS is
 // already interned (append the epoch's tokens and views in one call).
 // These hold on every producer path — tokens are minted densely in block
-// order and ledger RS ids are dense ledger indices — and they are what
-// makes append-only interning byte-compatible with Build's sort-based
-// interning.
+// order, ledger RS ids are dense ledger indices, and one-shot Build sorts
+// its token union first — and they are what makes append-only interning
+// byte-compatible with sort-based interning.
 //
 // Threading: single writer, any number of sealed-view readers. Append()
 // and View() must be externally serialized with each other (node::Node
@@ -187,7 +188,7 @@ class EpochChain {
   // tm-owns: the shared column storage (owner id: core_).
   std::shared_ptr<EpochCore> core_;
   /// Writer-side HT interner (first-appearance order over the ascending
-  /// token column, matching Build exactly).
+  /// token column).
   std::unordered_map<chain::TxId, Local> ht_local_;
   std::vector<EpochMeta> epochs_;
 };

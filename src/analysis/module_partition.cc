@@ -195,16 +195,6 @@ common::Result<ModulePartition> ModulePartition::Build(
   return p;
 }
 
-common::Result<std::shared_ptr<const InternedModules>> InternModules(
-    std::span<const chain::RsView> history, const chain::HtIndex* index,
-    std::span<const chain::TokenId> universe) {
-  AnalysisContext context = AnalysisContext::Build(history, index, universe);
-  TM_ASSIGN_OR_RETURN(ModulePartition partition,
-                      ModulePartition::Build(context, universe));
-  return std::make_shared<const InternedModules>(
-      InternedModules{std::move(context), std::move(partition)});
-}
-
 /// The per-view memo behind AnalysisContext::Modules(): filled once under
 /// `fill_mu`, then read lock-free through `ready`.
 struct AnalysisContext::ModuleMemo {

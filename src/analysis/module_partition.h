@@ -20,12 +20,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "analysis/context.h"
-#include "chain/ht_index.h"
 #include "chain/types.h"
 #include "common/status.h"
 
@@ -95,20 +93,5 @@ class ModulePartition {
   std::vector<Local> subset_rs_;
   Local unknown_ht_token_ = kNoLocal;
 };
-
-/// A partition together with the context it is expressed in, for callers
-/// that have no sealed context (e.g. a sibling ring's history extended by
-/// the transaction's earlier rings).
-struct InternedModules {
-  AnalysisContext context;
-  ModulePartition partition;
-};
-
-/// Interns (`history`, `universe`, HTs from `index` when given) for one
-/// call and partitions `universe` over it; errors as ModulePartition::Build.
-[[nodiscard]] common::Result<std::shared_ptr<const InternedModules>>
-InternModules(std::span<const chain::RsView> history,
-              const chain::HtIndex* index,
-              std::span<const chain::TokenId> universe);
 
 }  // namespace tokenmagic::analysis

@@ -79,6 +79,7 @@ common::Result<SelectionResult> MoneroSelector::Select(
     const SelectionInput& input, common::Rng* rng) const {
   TM_CHECK(rng != nullptr);
   using common::Status;
+  TM_RETURN_NOT_OK(RequireContext(input));
   if (DeadlineExpired(input)) {
     return Status::Timeout("selection deadline already expired");
   }

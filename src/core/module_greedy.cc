@@ -30,10 +30,11 @@ common::Result<ModuleSelectionState> InitModuleState(
   if (input.index == nullptr) {
     return Status::InvalidArgument("SelectionInput.index must be set");
   }
+  TM_RETURN_NOT_OK(RequireContext(input));
   TM_ASSIGN_OR_RETURN(ModuleUniverse mu,
                       ModuleUniverse::ForInstance(input.universe,
-                                                  input.history, input.context,
-                                                  input.index));
+                                                  input.history,
+                                                  *input.context));
   const AnalysisContext& context = mu.context();
   const analysis::ModulePartition& partition = mu.partition();
   AnalysisContext::Local target = context.LocalOfToken(input.target);

@@ -28,24 +28,6 @@ bool IsViewUniverse(const AnalysisContext& context,
 
 }  // namespace
 
-common::Result<ModuleUniverse> ModuleUniverse::BuildInterned(
-    std::span<const chain::TokenId> universe,
-    std::span<const chain::RsView> history, const chain::HtIndex* index) {
-  TM_ASSIGN_OR_RETURN(std::shared_ptr<const analysis::InternedModules> owned,
-                      analysis::InternModules(history, index, universe));
-  ModuleUniverse mu;
-  mu.context_ = &owned->context;
-  mu.partition_ = &owned->partition;
-  mu.owned_ = std::move(owned);
-  return mu;
-}
-
-common::Result<ModuleUniverse> ModuleUniverse::Build(
-    std::span<const chain::TokenId> universe,
-    std::span<const chain::RsView> history) {
-  return BuildInterned(universe, history, nullptr);
-}
-
 common::Result<ModuleUniverse> ModuleUniverse::Build(
     std::span<const chain::TokenId> universe,
     std::span<const chain::RsView> history,
@@ -63,17 +45,15 @@ common::Result<ModuleUniverse> ModuleUniverse::Build(
 
 common::Result<ModuleUniverse> ModuleUniverse::ForInstance(
     std::span<const chain::TokenId> universe,
-    std::span<const chain::RsView> history, const AnalysisContext* context,
-    const chain::HtIndex* index) {
-  if (context == nullptr) return BuildInterned(universe, history, index);
-  if (!IsViewUniverse(*context, universe)) {
-    return Build(universe, history, *context);
+    std::span<const chain::RsView> history, const AnalysisContext& context) {
+  if (!IsViewUniverse(context, universe)) {
+    return Build(universe, history, context);
   }
-  TM_CHECK(context->rs_count() == history.size());
-  const common::Result<ModulePartition>& memo = context->Modules();
+  TM_CHECK(context.rs_count() == history.size());
+  const common::Result<ModulePartition>& memo = context.Modules();
   if (!memo.ok()) return memo.status();
   ModuleUniverse mu;
-  mu.context_ = context;
+  mu.context_ = &context;
   mu.partition_ = &memo.value();
   return mu;
 }

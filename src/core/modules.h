@@ -10,12 +10,11 @@
 // ModuleUniverse is the selectors' handle on one dense
 // analysis::ModulePartition plus the AnalysisContext whose ids it uses.
 // The module-based selectors obtain it through ForInstance(), which reuses
-// the partition memoized on the instance's sealed context view when the
-// universe is exactly that view's token set (built once per view, on the
-// first selection against it), and otherwise builds one per call — over
-// the instance's context, or over a context interned for the call when
-// the instance has none. Both paths yield the same partition type, so
-// one set of greedy loops serves them (DESIGN.md decision 14).
+// the partition memoized on the instance's context when the universe is
+// exactly that context's token set (built once per view, on the first
+// selection against it), and otherwise builds one per call over the same
+// context. Both paths yield the same partition type, so one set of greedy
+// loops serves them (DESIGN.md decision 14).
 #pragma once
 
 #include <cstddef>
@@ -25,7 +24,6 @@
 
 #include "analysis/context.h"
 #include "analysis/module_partition.h"
-#include "chain/ht_index.h"
 #include "chain/types.h"
 #include "common/status.h"
 
@@ -52,32 +50,26 @@ struct Module {
 /// The module decomposition of a mixin universe plus its RS history.
 class ModuleUniverse {
  public:
-  /// Builds the decomposition. `history` must be the RSs over `universe`
-  /// (e.g. the related RS set of the batch) in proposal order and must
-  /// respect the first practical configuration; a violating history yields
-  /// an InvalidArgument status. Interns `history` and `universe` into a
-  /// context owned by the result.
-  [[nodiscard]] static common::Result<ModuleUniverse> Build(
-      std::span<const chain::TokenId> universe,
-      std::span<const chain::RsView> history);
-
-  /// Same decomposition over a caller-owned context, which must have been
-  /// built from exactly this `history` span (and a universe covering
-  /// `universe`) and must outlive the result. Always builds; see
-  /// ForInstance() for the memoized path.
+  /// Builds the decomposition over a caller-owned context, which must
+  /// have been interned from exactly this `history` span (and a universe
+  /// covering `universe`) and must outlive the result. `history` must be
+  /// the RSs over `universe` (e.g. the related RS set of the batch) in
+  /// proposal order and must respect the first practical configuration; a
+  /// violating history yields an InvalidArgument status. Always builds;
+  /// see ForInstance() for the memoized path.
   [[nodiscard]] static common::Result<ModuleUniverse> Build(
       std::span<const chain::TokenId> universe,
       std::span<const chain::RsView> history,
       const analysis::AnalysisContext& context);
 
   /// The decomposition a selection over (`universe`, `history`) runs on.
-  /// With a `context` whose interned token set equals `universe` (checked
-  /// by content) this is the view's memoized partition; otherwise it is
-  /// built per call as by the Build overloads above.
+  /// When the `context`'s interned token set equals `universe` (checked
+  /// by content) this is the context's memoized partition; otherwise it
+  /// is built per call as by Build().
   [[nodiscard]] static common::Result<ModuleUniverse> ForInstance(
       std::span<const chain::TokenId> universe,
       std::span<const chain::RsView> history,
-      const analysis::AnalysisContext* context, const chain::HtIndex* index);
+      const analysis::AnalysisContext& context);
 
   size_t module_count() const { return partition_->module_count(); }
   /// Materialized copy of one module.
@@ -109,17 +101,10 @@ class ModuleUniverse {
  private:
   ModuleUniverse() = default;
 
-  /// Per-call path without a caller context: interns (`history`,
-  /// `universe`, HTs from `index`) and partitions that context.
-  [[nodiscard]] static common::Result<ModuleUniverse> BuildInterned(
-      std::span<const chain::TokenId> universe,
-      std::span<const chain::RsView> history, const chain::HtIndex* index);
-
-  // tm-owns: per-call storage (owner id: owned_) — an interned context
-  // and/or a partition; null when both are borrowed.
+  // tm-owns: a per-call partition (owner id: owned_); null when the
+  // partition is the context's memo.
   std::shared_ptr<const void> owned_;
-  // tm-borrows(owned_): the instance's context (kept alive by its caller)
-  // or the context in owned_.
+  // tm-borrows(caller): the instance's context, kept alive by its caller.
   const analysis::AnalysisContext* context_ = nullptr;
   // Points into owned_ or into context_'s memo.
   const analysis::ModulePartition* partition_ = nullptr;

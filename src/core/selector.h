@@ -21,7 +21,7 @@ class AnalysisContext;
 namespace tokenmagic::core {
 
 /// One DA-MS problem instance: pick mixins for `target` out of `universe`
-/// given the RS history over that universe.
+/// given the RS history over that universe, interned in `context`.
 ///
 /// The instance does not own the universe or the history: both are spans
 /// into snapshot storage (the batch snapshot in TokenMagic/node, the
@@ -41,16 +41,17 @@ struct SelectionInput {
   std::span<const chain::RsView> history;
   chain::DiversityRequirement requirement;
   const chain::HtIndex* index = nullptr;
-  /// Optional interned snapshot of `history` (+ `universe` tokens), built
-  /// once per block/batch and shared by every target and ladder stage.
-  /// When set, it must have been built from exactly the same history span
-  /// and with the same HT index as `index`; selectors then take the
-  /// context fast paths (CSR related-set walks, dense cascade) instead of
-  /// re-interning per call. When `universe` is exactly the context's token
-  /// set, the module-based selectors also reuse the module partition
-  /// memoized on it (AnalysisContext::Modules): the first such selection
-  /// builds it, every later one against the same view or a copy of it
-  /// shares it.
+  /// Required interned snapshot of `history` (+ `universe` tokens): a
+  /// sealed EpochChain view, built once per block/batch and shared by
+  /// every target and ladder stage. It must have been interned from
+  /// exactly the same history span and with the same HT index as `index`;
+  /// every selector returns InvalidArgument when it is null. Instances
+  /// with no sealed view (a sibling ring's extended history, a CLI or
+  /// test instance) get a one-shot one from InternInstance(). When
+  /// `universe` is exactly the context's token set, the module-based
+  /// selectors reuse the module partition memoized on it
+  /// (AnalysisContext::Modules): the first such selection builds it,
+  /// every later one against the same view or a copy of it shares it.
   // tm-borrows(caller): owned by the caller's batch snapshot alongside
   // the `history` storage it was interned from.
   const analysis::AnalysisContext* context = nullptr;
@@ -68,6 +69,21 @@ struct SelectionInput {
   /// deadline returns Timeout before any work. nullptr = unlimited.
   common::Deadline* deadline = nullptr;
 };
+
+/// Interns `input`'s (`history`, `index`, `universe`) into a one-shot
+/// context, sets `input->context` to it, and makes `input->owner` keep it
+/// alive (together with any owner the input already had). For instances
+/// that have no sealed snapshot view; RS ids in `history` must ascend.
+void InternInstance(SelectionInput* input);
+
+/// InvalidArgument when the instance has no context; every selector
+/// checks this at entry.
+[[nodiscard]] inline common::Status RequireContext(
+    const SelectionInput& input) {
+  if (input.context != nullptr) return common::Status::OK();
+  return common::Status::InvalidArgument(
+      "SelectionInput.context must be set");
+}
 
 /// True when the instance carries an expired deadline. Selectors check at
 /// entry and at every iteration boundary.

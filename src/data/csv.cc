@@ -117,6 +117,15 @@ common::Result<Dataset> DatasetFromCsv(const std::string& tokens_csv,
         return Status::IoError(
             common::StrFormat("rings.csv line %zu: bad scalars", i + 1));
       }
+      // RS ids must ascend in file order (the analysis context interns
+      // them in history order and looks them up by binary search).
+      if (!ds.history.empty() &&
+          static_cast<chain::RsId>(id) <= ds.history.back().id) {
+        return Status::IoError(common::StrFormat(
+            "rings.csv line %zu: rs_id %lld does not ascend (previous %llu)",
+            i + 1, static_cast<long long>(id),
+            static_cast<unsigned long long>(ds.history.back().id)));
+      }
       chain::RsView view;
       view.id = static_cast<chain::RsId>(id);
       view.proposed_at = static_cast<chain::Timestamp>(at);

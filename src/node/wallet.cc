@@ -112,7 +112,8 @@ common::Result<SignedTransaction> Wallet::BuildSpendMulti(
     // Single-input spends (the common case) borrow the node's shared
     // per-batch snapshot and context. With sibling rings from earlier
     // inputs of this transaction the history differs from the snapshot,
-    // so a local combined copy owns the span and no context is set.
+    // so a local combined copy owns the span and is interned one-shot
+    // (sibling ids ascend past every ledger id).
     std::vector<chain::RsView> combined;
     if (siblings.empty()) {
       input.history = snapshot->history;
@@ -124,6 +125,7 @@ common::Result<SignedTransaction> Wallet::BuildSpendMulti(
                       snapshot->history.end());
       combined.insert(combined.end(), siblings.begin(), siblings.end());
       input.history = combined;
+      core::InternInstance(&input);
     }
     TM_ASSIGN_OR_RETURN(core::SelectionResult selection,
                         selector.Select(input, &rng_));

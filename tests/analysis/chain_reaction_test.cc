@@ -19,6 +19,10 @@ RsView View(RsId id, std::vector<TokenId> members) {
   return v;
 }
 
+AnalysisResult CascadeOf(std::span<const RsView> history) {
+  return ChainReactionAnalyzer::Cascade(AnalysisContext::Build(history));
+}
+
 // Paper Example 1, second solution: r1 = r2 = {t1, t2}, r3 = {t2, t3}.
 // Chain reaction: t1 and t2 are both spent by r1/r2, so r3's spend must
 // be t3 — t2 is eliminated from r3.
@@ -97,7 +101,7 @@ TEST(AnalyzeTest, SingleRsFullyAmbiguous) {
 TEST(CascadeTest, Theorem41Closure) {
   std::vector<RsView> history = {View(0, {1, 2}), View(1, {2, 3}),
                                  View(2, {1, 3})};
-  auto result = ChainReactionAnalyzer::Cascade(history);
+  auto result = CascadeOf(history);
   EXPECT_EQ(result.spent_tokens.size(), 3u);
   EXPECT_TRUE(result.spent_tokens.count(1));
   EXPECT_TRUE(result.spent_tokens.count(2));
@@ -107,7 +111,7 @@ TEST(CascadeTest, Theorem41Closure) {
 TEST(CascadeTest, NoFalsePositives) {
   // 2 RSs over 4 tokens: nothing is provably spent.
   std::vector<RsView> history = {View(0, {1, 2}), View(1, {3, 4})};
-  auto result = ChainReactionAnalyzer::Cascade(history);
+  auto result = CascadeOf(history);
   EXPECT_TRUE(result.spent_tokens.empty());
 }
 
@@ -116,7 +120,7 @@ TEST(CascadeTest, ZeroMixinCascade) {
   // spend 2; then r2={2,3} must spend 3.
   std::vector<RsView> history = {View(0, {1}), View(1, {1, 2}),
                                  View(2, {2, 3})};
-  auto result = ChainReactionAnalyzer::Cascade(history);
+  auto result = CascadeOf(history);
   EXPECT_EQ(result.revealed_spends.at(0), 1u);
   EXPECT_EQ(result.revealed_spends.at(1), 2u);
   EXPECT_EQ(result.revealed_spends.at(2), 3u);
@@ -132,7 +136,7 @@ TEST(CascadeTest, SoundWithRespectToExactAnalysis) {
       {View(0, {1}), View(1, {1, 2, 3})},
   };
   for (const auto& history : cases) {
-    auto cascade = ChainReactionAnalyzer::Cascade(history);
+    auto cascade = CascadeOf(history);
     auto exact = ChainReactionAnalyzer::Analyze(history);
     for (const auto& [rs, token] : cascade.revealed_spends) {
       ASSERT_TRUE(exact.possible_spends.count(rs));
@@ -145,10 +149,12 @@ TEST(CascadeTest, SoundWithRespectToExactAnalysis) {
 TEST(CountInferableSpentTest, MatchesCascade) {
   std::vector<RsView> history = {View(0, {1, 2}), View(1, {1, 2}),
                                  View(2, {5, 6})};
-  EXPECT_EQ(ChainReactionAnalyzer::CountInferableSpent(history), 2u);
   EXPECT_EQ(ChainReactionAnalyzer::CountInferableSpent(
-                std::span<const RsView>{}),
-            0u);
+                AnalysisContext::Build(history)),
+            2u);
+  EXPECT_EQ(
+      ChainReactionAnalyzer::CountInferableSpent(AnalysisContext::Build({})),
+      0u);
 }
 
 TEST(AnalysisResultTest, NoTokenEliminatedReflectsContent) {

@@ -1,6 +1,7 @@
 // Equivalence suite for the interned columnar AnalysisContext: every
 // context-based read path must produce byte-identical results to the
-// legacy vector/hash-map path on randomized histories. This is the
+// frozen vector/hash-map reference (tests/reference/) or the HtIndex
+// path on randomized histories. This is the
 // contract that lets TokenMagic, node::Node, and the selectors share one
 // snapshot per batch without changing any analysis outcome.
 #include "analysis/context.h"
@@ -16,10 +17,10 @@
 #include "analysis/diversity.h"
 #include "analysis/dtrs.h"
 #include "analysis/homogeneity.h"
-#include "analysis/incremental.h"
 #include "analysis/related_set.h"
 #include "chain/ht_index.h"
 #include "common/rng.h"
+#include "reference/span_analysis.h"
 
 namespace tokenmagic::analysis {
 namespace {
@@ -150,7 +151,8 @@ TEST(AnalysisContextTest, EquivalentToLegacyOnRandomHistories) {
     for (size_t i = 0; i < num_targets; ++i) {
       targets.push_back(rng.NextBounded(num_tokens + 2));  // may be absent
     }
-    RelatedSetResult legacy_rel = ComputeRelatedSet(targets, history);
+    RelatedSetResult legacy_rel =
+        reference::ComputeRelatedSet(targets, history);
     RelatedSetResult dense_rel = ComputeRelatedSet(targets, context);
     ASSERT_EQ(legacy_rel.related.size(), dense_rel.related.size())
         << "trial " << trial;
@@ -162,10 +164,10 @@ TEST(AnalysisContextTest, EquivalentToLegacyOnRandomHistories) {
     }
 
     // Cascade without side information.
-    AnalysisResult baseline = ChainReactionAnalyzer::Cascade(history);
+    AnalysisResult baseline = reference::Cascade(history);
     ExpectSameAnalysis(baseline, ChainReactionAnalyzer::Cascade(context),
                        "cascade", trial);
-    EXPECT_EQ(ChainReactionAnalyzer::CountInferableSpent(history),
+    EXPECT_EQ(reference::CountInferableSpent(history),
               ChainReactionAnalyzer::CountInferableSpent(context))
         << "trial " << trial;
 
@@ -180,33 +182,9 @@ TEST(AnalysisContextTest, EquivalentToLegacyOnRandomHistories) {
       pair.token = view.members[rng.NextBounded(view.members.size())];
       si.revealed.push_back(pair);
     }
-    ExpectSameAnalysis(ChainReactionAnalyzer::Cascade(history, si),
+    ExpectSameAnalysis(reference::Cascade(history, si),
                        ChainReactionAnalyzer::Cascade(context, si),
                        "cascade+si", trial);
-
-    // Incremental bulk-load constructor == batch cascade over the same
-    // history. Sequential Adds can soundly infer strictly more: a
-    // sub-family that is tight over some prefix stays provably spent
-    // even after later RSs grow its component past tightness, so the
-    // per-insertion fixpoints accumulate facts the single batch pass
-    // cannot rediscover. Hence superset — not equality — vs sequential.
-    IncrementalCascade bulk(context);
-    EXPECT_EQ(bulk.InferableSpentCount(), baseline.spent_tokens.size())
-        << "trial " << trial;
-    EXPECT_EQ(bulk.revealed(), baseline.revealed_spends)
-        << "trial " << trial;
-    IncrementalCascade sequential;
-    for (const RsView& view : instance.history) sequential.Add(view);
-    for (TokenId t : instance.universe) {
-      EXPECT_EQ(bulk.IsProvablySpent(t), baseline.spent_tokens.count(t) > 0)
-          << "trial " << trial << " token " << t;
-      if (bulk.IsProvablySpent(t)) {
-        EXPECT_TRUE(sequential.IsProvablySpent(t))
-            << "trial " << trial << " token " << t;
-      }
-    }
-    EXPECT_GE(sequential.InferableSpentCount(), bulk.InferableSpentCount())
-        << "trial " << trial;
 
     // Per-RS probes: homogeneity, diversity, practical DTRS, Theorem 6.2.
     for (const RsView& view : instance.history) {

@@ -1,8 +1,9 @@
 // Equivalence and lifetime suite for the epoch-chained AnalysisContext:
-// at every block height, the chained View() must be observationally
-// byte-identical to a from-scratch AnalysisContext::Build over the same
-// prefix, and sealed views must stay valid and unchanged while the chain
-// keeps growing. This is the contract that lets node::Node and TokenMagic
+// at every block height, the multi-epoch View() and a one-shot
+// AnalysisContext::Build over the same prefix must both be observationally
+// byte-identical to the frozen sort-based interning oracle
+// (tests/reference/built_context.h), and sealed views must stay valid and
+// unchanged while the chain keeps growing. This is the contract that lets node::Node and TokenMagic
 // replace rebuild-per-block with O(delta) epoch appends without changing
 // any selection or analysis outcome.
 #include "analysis/epoch_chain.h"
@@ -17,6 +18,8 @@
 #include "analysis/chain_reaction.h"
 #include "chain/ht_index.h"
 #include "common/rng.h"
+#include "reference/built_context.h"
+#include "reference/span_analysis.h"
 
 namespace tokenmagic::analysis {
 namespace {
@@ -27,37 +30,44 @@ using chain::RsId;
 using chain::RsView;
 using chain::TokenId;
 using Local = AnalysisContext::Local;
+using reference::BuildContext;
+using reference::BuiltContext;
 
-/// Asserts every read-surface accessor of `got` matches `want` exactly.
-void ExpectSameContext(const AnalysisContext& got,
-                       const AnalysisContext& want) {
+/// Asserts every read-surface accessor of `got` matches the oracle's
+/// columns exactly.
+void ExpectSameContext(const AnalysisContext& got, const BuiltContext& want) {
   ASSERT_EQ(got.token_count(), want.token_count());
   ASSERT_EQ(got.rs_count(), want.rs_count());
   ASSERT_EQ(got.ht_count(), want.ht_count());
   for (Local t = 0; t < want.token_count(); ++t) {
-    ASSERT_EQ(got.token_id(t), want.token_id(t));
-    ASSERT_EQ(got.HtLocalOf(t), want.HtLocalOf(t));
-    ASSERT_EQ(got.HtOf(t), want.HtOf(t));
-    ASSERT_EQ(got.LocalOfToken(want.token_id(t)), t);
+    ASSERT_EQ(got.token_id(t), want.token_ids[t]);
+    ASSERT_EQ(got.HtLocalOf(t), want.token_ht[t]);
+    ASSERT_EQ(got.HtOf(t), want.token_ht[t] == BuiltContext::kNoLocal
+                               ? chain::kInvalidTx
+                               : want.ht_ids[want.token_ht[t]]);
+    ASSERT_EQ(got.LocalOfToken(want.token_ids[t]), t);
     std::span<const Local> a = got.RsOfToken(t);
     std::span<const Local> b = want.RsOfToken(t);
     ASSERT_EQ(std::vector<Local>(a.begin(), a.end()),
               std::vector<Local>(b.begin(), b.end()));
   }
   for (Local h = 0; h < want.ht_count(); ++h) {
-    ASSERT_EQ(got.ht_id(h), want.ht_id(h));
+    ASSERT_EQ(got.ht_id(h), want.ht_ids[h]);
   }
   for (Local r = 0; r < want.rs_count(); ++r) {
-    ASSERT_EQ(got.rs_id(r), want.rs_id(r));
-    ASSERT_EQ(got.proposed_at(r), want.proposed_at(r));
-    ASSERT_EQ(got.requirement(r).c, want.requirement(r).c);
-    ASSERT_EQ(got.requirement(r).ell, want.requirement(r).ell);
-    ASSERT_EQ(got.LocalOfRs(want.rs_id(r)), r);
+    ASSERT_EQ(got.rs_id(r), want.rs_ids[r]);
+    ASSERT_EQ(got.proposed_at(r), want.proposed_at[r]);
+    ASSERT_EQ(got.requirement(r).c, want.requirement[r].c);
+    ASSERT_EQ(got.requirement(r).ell, want.requirement[r].ell);
+    ASSERT_EQ(got.LocalOfRs(want.rs_ids[r]), r);
+    ASSERT_EQ(want.LocalOfRs(want.rs_ids[r]), r);
     std::span<const Local> a = got.Members(r);
     std::span<const Local> b = want.Members(r);
     ASSERT_EQ(std::vector<Local>(a.begin(), a.end()),
               std::vector<Local>(b.begin(), b.end()));
-    ASSERT_EQ(got.ViewOf(r).members, want.ViewOf(r).members);
+    std::vector<TokenId> external;
+    for (Local t : b) external.push_back(want.token_ids[t]);
+    ASSERT_EQ(got.ViewOf(r).members, external);
   }
   // Misses answer identically too.
   ASSERT_EQ(got.LocalOfToken(1u << 30), want.LocalOfToken(1u << 30));
@@ -107,7 +117,8 @@ struct GrowingChain {
 };
 
 TEST(EpochChainTest, MatchesFromScratchBuildAtEveryHeightManySeeds) {
-  // >= 50 randomized histories, equivalence asserted at every height.
+  // >= 50 randomized histories, equivalence asserted at every height for
+  // both the multi-epoch view and a one-shot Build of the same prefix.
   for (uint64_t seed = 1; seed <= 56; ++seed) {
     GrowingChain gen(seed);
     EpochChain chain;
@@ -117,9 +128,11 @@ TEST(EpochChainTest, MatchesFromScratchBuildAtEveryHeightManySeeds) {
       std::vector<TokenId> tokens;
       gen.NextBlock(&views, &tokens);
       chain.Append(views, &gen.index, tokens);
-      AnalysisContext want =
-          AnalysisContext::Build(gen.history, &gen.index, gen.universe);
+      BuiltContext want = BuildContext(gen.history, &gen.index, gen.universe);
       ExpectSameContext(chain.View(), want);
+      ExpectSameContext(
+          AnalysisContext::Build(gen.history, &gen.index, gen.universe),
+          want);
       ASSERT_EQ(chain.rs_count(), gen.history.size());
       ASSERT_EQ(chain.token_count(), gen.universe.size());
     }
@@ -149,8 +162,8 @@ TEST(EpochChainTest, SealedViewsSurviveAndIgnoreLaterAppends) {
   // Only after the chain fully grew (forcing column generations and tail
   // regrows) is every sealed view checked against its own prefix.
   for (size_t b = 0; b < sealed.size(); ++b) {
-    AnalysisContext want = AnalysisContext::Build(
-        prefixes[b].history, &gen.index, prefixes[b].universe);
+    BuiltContext want = BuildContext(prefixes[b].history, &gen.index,
+                                     prefixes[b].universe);
     ExpectSameContext(sealed[b], want);
     ASSERT_EQ(sealed_history[b], prefixes[b].history.size());
   }
@@ -162,8 +175,8 @@ TEST(EpochChainTest, SealedViewsSurviveAndIgnoreLaterAppends) {
     EpochChain graveyard;  // scope marker: original chain destroyed below
     std::swap(graveyard, chain);
   }
-  AnalysisContext want = AnalysisContext::Build(
-      prefixes.back().history, &gen.index, prefixes.back().universe);
+  BuiltContext want = BuildContext(prefixes.back().history, &gen.index,
+                                   prefixes.back().universe);
   ExpectSameContext(survivor, want);
   ASSERT_EQ(history.size(), prefixes.back().history.size());
   for (size_t r = 0; r < history.size(); ++r) {
@@ -172,8 +185,8 @@ TEST(EpochChainTest, SealedViewsSurviveAndIgnoreLaterAppends) {
 }
 
 TEST(EpochChainTest, ChainedContextDrivesAnalysisIdentically) {
-  // The cascade (the heaviest consumer of the inverted index) must see no
-  // difference between the two storage modes.
+  // The cascade (the heaviest consumer of the inverted index) over a
+  // multi-epoch view must match the frozen span cascade over the history.
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     GrowingChain gen(7000 + seed);
     EpochChain chain;
@@ -183,10 +196,8 @@ TEST(EpochChainTest, ChainedContextDrivesAnalysisIdentically) {
       gen.NextBlock(&views, &tokens);
       chain.Append(views, &gen.index, tokens);
     }
-    AnalysisContext built =
-        AnalysisContext::Build(gen.history, &gen.index, gen.universe);
     AnalysisResult a = ChainReactionAnalyzer::Cascade(chain.View());
-    AnalysisResult b = ChainReactionAnalyzer::Cascade(built);
+    AnalysisResult b = reference::Cascade(gen.history);
     ASSERT_EQ(a.spent_tokens, b.spent_tokens);
     ASSERT_EQ(a.revealed_spends, b.revealed_spends);
   }
@@ -217,10 +228,14 @@ TEST(EpochChainTest, OverlayCascadeMatchesRebuiltExtendedContext) {
 
     std::vector<RsView> extended = gen.history;
     extended.push_back(prospective);
-    AnalysisContext rebuilt = AnalysisContext::Build(extended);
+    size_t want = reference::CountInferableSpent(extended);
     ASSERT_EQ(ChainReactionAnalyzer::CountInferableSpent(chain.View(),
                                                          prospective),
-              ChainReactionAnalyzer::CountInferableSpent(rebuilt))
+              want)
+        << "seed " << seed;
+    ASSERT_EQ(ChainReactionAnalyzer::CountInferableSpent(
+                  AnalysisContext::Build(extended)),
+              want)
         << "seed " << seed;
   }
 }
@@ -228,13 +243,16 @@ TEST(EpochChainTest, OverlayCascadeMatchesRebuiltExtendedContext) {
 TEST(EpochChainTest, EmptyAndTokenOnlyEpochs) {
   EpochChain chain;
   chain.Append({}, nullptr, {});
-  ExpectSameContext(chain.View(), AnalysisContext::Build({}, nullptr, {}));
+  ExpectSameContext(chain.View(), BuildContext({}, nullptr, {}));
+  ExpectSameContext(AnalysisContext::Build({}, nullptr, {}),
+                    BuildContext({}, nullptr, {}));
   HtIndex index;
   std::vector<TokenId> tokens{0, 1, 2};
   for (TokenId t : tokens) index.Set(t, 500);
   chain.Append({}, &index, tokens);
-  AnalysisContext want = AnalysisContext::Build({}, &index, tokens);
+  BuiltContext want = BuildContext({}, &index, tokens);
   ExpectSameContext(chain.View(), want);
+  ExpectSameContext(AnalysisContext::Build({}, &index, tokens), want);
   ASSERT_EQ(chain.View().RsOfToken(0).size(), 0u);
   ASSERT_EQ(chain.epoch_count(), 2u);
   ASSERT_EQ(chain.epoch(1).token_end, 3u);
@@ -283,9 +301,8 @@ TEST(EpochChainTest, ConcurrentSealedReadersRaceAppends) {
   }
   stop.store(true);
   for (std::thread& t : readers) t.join();
-  AnalysisContext want = AnalysisContext::Build(
-      sealed_history, &gen.index, sealed_universe);
-  ExpectSameContext(sealed, want);
+  ExpectSameContext(sealed,
+                    BuildContext(sealed_history, &gen.index, sealed_universe));
 }
 
 }  // namespace

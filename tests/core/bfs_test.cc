@@ -48,6 +48,7 @@ TEST(BfsTest, PaperExample1FindsGoodSolution) {
   input.history = history;
   input.requirement = {2.0, 2};
   input.index = &idx;
+  InternInstance(&input);
   common::Rng rng(1);
   BfsSelector selector;
   auto result = selector.Select(input, &rng);
@@ -65,6 +66,7 @@ TEST(BfsTest, ReturnsMinimumSizeSolution) {
   input.universe = universe;
   input.requirement = {2.0, 2};
   input.index = &idx;
+  InternInstance(&input);
   common::Rng rng(1);
   BfsSelector selector;
   auto result = selector.Select(input, &rng);
@@ -82,6 +84,7 @@ TEST(BfsTest, ResultPassesExactNonEliminationCheck) {
   input.history = history;
   input.requirement = {2.0, 2};
   input.index = &idx;
+  InternInstance(&input);
   common::Rng rng(1);
   BfsSelector selector;
   auto result = selector.Select(input, &rng);
@@ -105,6 +108,7 @@ TEST(BfsTest, RespectsDiversityRequirement) {
   input.universe = universe;
   input.requirement = {1.5, 2};
   input.index = &idx;
+  InternInstance(&input);
   common::Rng rng(1);
   BfsSelector selector;
   auto result = selector.Select(input, &rng);
@@ -122,6 +126,7 @@ TEST(BfsTest, UnsatisfiableWhenUniverseTooHomogeneous) {
   input.universe = universe;
   input.requirement = {1.0, 2};
   input.index = &idx;
+  InternInstance(&input);
   common::Rng rng(1);
   BfsSelector selector;
   auto result = selector.Select(input, &rng);
@@ -137,6 +142,7 @@ TEST(BfsTest, UniverseCapRejectsHugeInstances) {
   input.universe = universe;
   input.requirement = {2.0, 2};
   input.index = &idx;
+  InternInstance(&input);
   BfsSelector::Options options;
   options.max_universe = 20;
   BfsSelector selector(options);
@@ -156,6 +162,7 @@ TEST(BfsTest, BudgetExpiryReturnsTimeout) {
   input.universe = universe;
   input.requirement = {1.0, 2};
   input.index = &idx;
+  InternInstance(&input);
   BfsSelector::Options options;
   options.budget_seconds = 0.05;
   BfsSelector selector(options);
@@ -177,6 +184,7 @@ TEST(BfsTest, MatchesPracticalSelectorsOnEasyInstance) {
   input.universe = universe;
   input.requirement = {1.5, 3};
   input.index = &idx;
+  InternInstance(&input);
   common::Rng rng(1);
   BfsSelector bfs;
   auto exact = bfs.Select(input, &rng);

@@ -59,6 +59,7 @@ struct Fixture {
     input.history = history;
     input.requirement = {2.0, 2};
     input.index = &index;
+    InternInstance(&input);
     input.policy.strict_dtrs = false;
   }
 };
@@ -119,6 +120,7 @@ TEST(ChooseUnchooseTest, SharedHtSurvivesRemoval) {
   input.universe = universe;
   input.requirement = {2.0, 1};
   input.index = &index;
+  InternInstance(&input);
   auto state = InitModuleState(input);
   ASSERT_TRUE(state.ok());
   size_t m1 = state->mu.ModuleOfToken(1);
@@ -174,6 +176,9 @@ TEST(InitModuleStateTest, UnknownHtIsInvalidArgumentWithoutContext) {
   for (TokenId t : {1, 2, 3, 4, 5}) partial.Set(t, fx.index.HtOf(t));
   fx.input.index = &partial;
   fx.input.requirement = {2.0, 4};  // phase 1 must look past the target
+  // No sealed snapshot view: the instance is interned one-shot with the
+  // partial index.
+  InternInstance(&fx.input);
 
   auto state = InitModuleState(fx.input);
   ASSERT_FALSE(state.ok());
@@ -194,8 +199,9 @@ TEST(InitModuleStateTest, UnknownHtIsInvalidArgumentWithContext) {
   fx.input.index = &partial;
   fx.input.requirement = {2.0, 4};
 
-  // A built context and a chained view, both interned with the partial
-  // index: the memoized partition carries the same verdict.
+  // A one-shot context and a multi-epoch chained view, both interned
+  // with the partial index: the memoized partition carries the same
+  // verdict.
   analysis::AnalysisContext built =
       analysis::AnalysisContext::Build(fx.history, &partial, fx.universe);
   analysis::EpochChain chain;

@@ -90,11 +90,13 @@ TEST(ModuleMemoConcurrencyTest, FirstSelectionsShareOnePartition) {
     EXPECT_EQ(rings[i], rings[0]) << "thread " << i;
     EXPECT_EQ(partitions[i], shared) << "thread " << i;
   }
-  // The memoized answer is the answer: a context-free selection (which
-  // builds its own partition) picks the same ring.
+  // The memoized answer is the answer: an instance interned one-shot
+  // (with its own partition) picks the same ring.
   ProgressiveSelector selector;
-  auto reference = selector.Select(
-      InputFor(dataset, chain.History(), nullptr, target), nullptr);
+  SelectionInput interned =
+      InputFor(dataset, chain.History(), nullptr, target);
+  InternInstance(&interned);
+  auto reference = selector.Select(interned, nullptr);
   ASSERT_TRUE(reference.ok());
   EXPECT_EQ(reference->members, rings[0]);
 }
@@ -119,7 +121,7 @@ TEST(ModuleMemoConcurrencyTest, OlderViewKeepsItsOwnPartition) {
   const analysis::AnalysisContext old_view = chain.View();
   // A selection-path lookup fills the old view's memo.
   auto first_fill = ModuleUniverse::ForInstance(
-      universe.first(split), history.first(half), &old_view, &dataset.index);
+      universe.first(split), history.first(half), old_view);
   ASSERT_TRUE(first_fill.ok());
   const analysis::ModulePartition* old_memo = &old_view.Modules().value();
   const size_t old_modules = old_memo->module_count();

@@ -4,11 +4,14 @@
 // On seeded laminar histories of 1 to 2000 tokens the two implementations
 // must agree exactly — ring members, chosen module indices, iteration
 // counts and status codes — for Progressive, Smallest, Random and
-// Game-theoretic selection, on every path an instance can take: no
-// context (per-call interning), a built context and chained EpochChain
-// views (the memoized partition), a context whose token set is wider than
-// the universe (per-call partition over the context), every iteration
-// budget up to the unbounded run's, and the relaxation schedule.
+// Game-theoretic selection, on every path an instance can take: an
+// instance interned one-shot by InternInstance and a one-shot Build
+// context (each with its own memoized partition), chained EpochChain
+// views, a context whose token set is wider than the universe (per-call
+// partition over the context), a sibling-shaped instance (the history
+// extended by an earlier ring of the same transaction under a high
+// synthetic id, as node::Wallet builds it), every iteration budget up to
+// the unbounded run's, and the relaxation schedule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -273,6 +276,7 @@ TEST(ModuleSelectionDifferentialTest, DenseLoopsMatchFrozenReference) {
   int huge = 0;
   int all_fresh = 0;
   int chained_epochs = 0;
+  int siblings = 0;
   for (int seed = 0; seed < kInstances; ++seed) {
     const Instance inst = MakeInstance(seed);
     if (inst.universe.size() >= 1000) ++huge;
@@ -282,20 +286,22 @@ TEST(ModuleSelectionDifferentialTest, DenseLoopsMatchFrozenReference) {
     const bool small = inst.universe.size() <= 120;
     const bool large = inst.universe.size() >= kLarge;
 
-    // Context-free: the partition is built over a per-call interning.
-    Compare(s.ref_progressive, s.progressive, input,
-            Describe(inst, input, "no-context"), &tally);
-    Compare(s.ref_smallest, s.smallest, input,
-            Describe(inst, input, "no-context"), &tally);
-    Compare(s.ref_random, s.random, input,
-            Describe(inst, input, "no-context"), &tally);
+    // No sealed view: the instance is interned one-shot for the call.
+    SelectionInput interned = input;
+    InternInstance(&interned);
+    Compare(s.ref_progressive, s.progressive, interned,
+            Describe(inst, input, "interned"), &tally);
+    Compare(s.ref_smallest, s.smallest, interned,
+            Describe(inst, input, "interned"), &tally);
+    Compare(s.ref_random, s.random, interned,
+            Describe(inst, input, "interned"), &tally);
     if (small) {
-      Compare(s.ref_game, s.game, input, Describe(inst, input, "no-context"),
-              &tally);
+      Compare(s.ref_game, s.game, interned,
+              Describe(inst, input, "interned"), &tally);
     }
 
-    // Built context: the memoized partition, filled by the first call and
-    // reused by every later one.
+    // One-shot Build context: the memoized partition, filled by the first
+    // call and reused by every later one.
     analysis::AnalysisContext built = analysis::AnalysisContext::Build(
         inst.history, &inst.index, inst.universe);
     SelectionInput with_context = input;
@@ -318,8 +324,8 @@ TEST(ModuleSelectionDifferentialTest, DenseLoopsMatchFrozenReference) {
       common::Rng probe_rng(5);
       auto unbounded = s.progressive.Select(with_context, &probe_rng);
       size_t k = unbounded.ok() ? unbounded->iterations : 3;
-      CompareBudgets(s.ref_progressive, s.progressive, input, k,
-                     Describe(inst, input, "no-context"), &tally);
+      CompareBudgets(s.ref_progressive, s.progressive, interned, k,
+                     Describe(inst, input, "interned"), &tally);
       CompareBudgets(s.ref_progressive, s.progressive, with_context, k,
                      Describe(inst, input, "built"), &tally);
       if (small) {
@@ -372,6 +378,37 @@ TEST(ModuleSelectionDifferentialTest, DenseLoopsMatchFrozenReference) {
               Describe(inst, prefix, "chained"), &tally);
     }
 
+    // Sibling-shaped: the transaction's earlier ring joins the history
+    // under a synthetic id past every ledger id, and the next input's
+    // instance is interned one-shot over that extended history.
+    {
+      common::Rng ring_rng(77);
+      auto first = s.ref_progressive.Select(with_context, &ring_rng);
+      if (first.ok()) {
+        ++siblings;
+        std::vector<RsView> extended = inst.history;
+        RsView sibling;
+        sibling.id = chain::kInvalidRs - 1000;
+        sibling.members = first->members;
+        sibling.proposed_at =
+            inst.history.empty() ? 0 : inst.history.back().proposed_at + 1;
+        sibling.requirement = input.requirement;
+        extended.push_back(std::move(sibling));
+        SelectionInput next = input;
+        next.history = extended;
+        next.target = inst.universe[rng.NextBounded(inst.universe.size())];
+        InternInstance(&next);
+        Compare(s.ref_progressive, s.progressive, next,
+                Describe(inst, next, "sibling"), &tally);
+        Compare(s.ref_smallest, s.smallest, next,
+                Describe(inst, next, "sibling"), &tally);
+        if (small) {
+          Compare(s.ref_game, s.game, next, Describe(inst, next, "sibling"),
+                  &tally);
+        }
+      }
+    }
+
     // A universe narrower than the context's token set (fresh tokens
     // dropped): the per-call partition over the caller's context.
     if (inst.fresh.size() >= 2) {
@@ -392,6 +429,7 @@ TEST(ModuleSelectionDifferentialTest, DenseLoopsMatchFrozenReference) {
   EXPECT_GE(huge, 2);
   EXPECT_GE(all_fresh, 20);
   EXPECT_GT(chained_epochs, kInstances);
+  EXPECT_GT(siblings, kInstances / 2);
   EXPECT_GT(tally.ok, 500);
   EXPECT_GT(tally.unsatisfiable, 50);
   EXPECT_GT(tally.timeout, 200);
@@ -403,8 +441,8 @@ TEST(ModuleSelectionDifferentialTest, MemoizedPartitionEqualsPerCallBuild) {
     const Instance inst = MakeInstance(seed);
     analysis::AnalysisContext context = analysis::AnalysisContext::Build(
         inst.history, &inst.index, inst.universe);
-    auto memo = ModuleUniverse::ForInstance(inst.universe, inst.history,
-                                            &context, &inst.index);
+    auto memo =
+        ModuleUniverse::ForInstance(inst.universe, inst.history, context);
     auto fresh = ModuleUniverse::Build(inst.universe, inst.history, context);
     auto reference = legacy::ModuleUniverse::Build(inst.universe, inst.history);
     ASSERT_TRUE(memo.ok() && fresh.ok() && reference.ok()) << seed;

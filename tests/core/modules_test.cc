@@ -4,6 +4,7 @@
 
 #include "analysis/context.h"
 #include "common/rng.h"
+#include "core/reference/legacy_selection.h"
 
 namespace tokenmagic::core {
 namespace {
@@ -28,7 +29,9 @@ TEST(ModuleUniverseTest, PaperSection61Example) {
   std::vector<TokenId> universe = {1, 2, 3, 4, 5, 6};
   std::vector<RsView> history = {View(1, {1, 2}, 10), View(2, {1, 2, 3}, 11),
                                  View(3, {4, 5}, 12)};
-  auto mu = ModuleUniverse::Build(universe, history);
+  analysis::AnalysisContext context =
+      analysis::AnalysisContext::Build(history, nullptr, universe);
+  auto mu = ModuleUniverse::Build(universe, history, context);
   ASSERT_TRUE(mu.ok());
 
   auto supers = mu->SuperRsModuleIndices();
@@ -49,7 +52,9 @@ TEST(ModuleUniverseTest, PaperSection61Example) {
 
 TEST(ModuleUniverseTest, EmptyHistoryIsAllFresh) {
   std::vector<TokenId> universe = {1, 2, 3};
-  auto mu = ModuleUniverse::Build(universe, {});
+  analysis::AnalysisContext context =
+      analysis::AnalysisContext::Build({}, nullptr, universe);
+  auto mu = ModuleUniverse::Build(universe, {}, context);
   ASSERT_TRUE(mu.ok());
   EXPECT_EQ(mu->FreshModuleIndices().size(), 3u);
   EXPECT_TRUE(mu->SuperRsModuleIndices().empty());
@@ -59,7 +64,9 @@ TEST(ModuleUniverseTest, RejectsPartialOverlap) {
   // {1,2} and {2,3} violate the first practical configuration.
   std::vector<TokenId> universe = {1, 2, 3};
   std::vector<RsView> history = {View(0, {1, 2}), View(1, {2, 3})};
-  auto mu = ModuleUniverse::Build(universe, history);
+  analysis::AnalysisContext context =
+      analysis::AnalysisContext::Build(history, nullptr, universe);
+  auto mu = ModuleUniverse::Build(universe, history, context);
   EXPECT_FALSE(mu.ok());
   EXPECT_TRUE(mu.status().IsInvalidArgument());
 }
@@ -67,7 +74,9 @@ TEST(ModuleUniverseTest, RejectsPartialOverlap) {
 TEST(ModuleUniverseTest, RejectsTokensOutsideUniverse) {
   std::vector<TokenId> universe = {1, 2};
   std::vector<RsView> history = {View(0, {1, 2, 99})};
-  auto mu = ModuleUniverse::Build(universe, history);
+  analysis::AnalysisContext context =
+      analysis::AnalysisContext::Build(history, nullptr, universe);
+  auto mu = ModuleUniverse::Build(universe, history, context);
   EXPECT_FALSE(mu.ok());
   EXPECT_TRUE(mu.status().IsInvalidArgument());
 }
@@ -77,7 +86,9 @@ TEST(ModuleUniverseTest, NestedChainsCollapseToLatestSuper) {
   std::vector<RsView> history = {View(0, {1}, 1), View(1, {1, 2}, 2),
                                  View(2, {1, 2, 3}, 3)};
   std::vector<TokenId> universe = {1, 2, 3, 4};
-  auto mu = ModuleUniverse::Build(universe, history);
+  analysis::AnalysisContext context =
+      analysis::AnalysisContext::Build(history, nullptr, universe);
+  auto mu = ModuleUniverse::Build(universe, history, context);
   ASSERT_TRUE(mu.ok());
   auto supers = mu->SuperRsModuleIndices();
   ASSERT_EQ(supers.size(), 1u);
@@ -92,7 +103,9 @@ TEST(ModuleUniverseTest, EqualSetsLaterWins) {
   // RS that a later superset covers; ⊇ includes equality).
   std::vector<RsView> history = {View(0, {1, 2}, 1), View(1, {1, 2}, 2)};
   std::vector<TokenId> universe = {1, 2};
-  auto mu = ModuleUniverse::Build(universe, history);
+  analysis::AnalysisContext context =
+      analysis::AnalysisContext::Build(history, nullptr, universe);
+  auto mu = ModuleUniverse::Build(universe, history, context);
   ASSERT_TRUE(mu.ok());
   auto supers = mu->SuperRsModuleIndices();
   ASSERT_EQ(supers.size(), 1u);
@@ -103,7 +116,9 @@ TEST(ModuleUniverseTest, EqualSetsLaterWins) {
 TEST(ModuleUniverseTest, ModuleOfTokenCoversEveryToken) {
   std::vector<RsView> history = {View(0, {1, 2}), View(1, {3, 4, 5})};
   std::vector<TokenId> universe = {1, 2, 3, 4, 5, 6, 7};
-  auto mu = ModuleUniverse::Build(universe, history);
+  analysis::AnalysisContext context =
+      analysis::AnalysisContext::Build(history, nullptr, universe);
+  auto mu = ModuleUniverse::Build(universe, history, context);
   ASSERT_TRUE(mu.ok());
   for (TokenId t : {1, 2, 3, 4, 5, 6, 7}) {
     size_t index = mu->ModuleOfToken(t);
@@ -113,13 +128,13 @@ TEST(ModuleUniverseTest, ModuleOfTokenCoversEveryToken) {
   }
 }
 
-void ExpectSameUniverse(const ModuleUniverse& legacy,
+void ExpectSameUniverse(const legacy::ModuleUniverse& legacy,
                         const ModuleUniverse& fast, int trial) {
   ASSERT_EQ(legacy.module_count(), fast.module_count()) << "trial " << trial;
   EXPECT_EQ(legacy.token_count(), fast.token_count()) << "trial " << trial;
   for (size_t i = 0; i < legacy.module_count(); ++i) {
-    const Module& a = legacy.module(i);
-    const Module& b = fast.module(i);
+    const legacy::Module& a = legacy.module(i);
+    const Module b = fast.module(i);
     EXPECT_EQ(a.index, b.index) << "trial " << trial << " module " << i;
     EXPECT_EQ(a.is_fresh, b.is_fresh) << "trial " << trial << " module " << i;
     EXPECT_EQ(a.super_rs, b.super_rs) << "trial " << trial << " module " << i;
@@ -137,9 +152,10 @@ void ExpectSameUniverse(const ModuleUniverse& legacy,
   }
 }
 
-// The context-aware Build replaces the O(|history|²) configuration check
-// and the per-super subset scans with inverted-index walks; the output
-// must be byte-identical to the legacy path on random laminar histories.
+// The context Build replaces the O(|history|²) configuration check and
+// the per-super subset scans with inverted-index walks; the output must be
+// byte-identical to the frozen span build (core/reference/) on random
+// laminar histories.
 TEST(ModuleUniverseTest, ContextBuildMatchesLegacyOnRandomHistories) {
   common::Rng rng(20260806);
   for (int trial = 0; trial < 100; ++trial) {
@@ -174,7 +190,7 @@ TEST(ModuleUniverseTest, ContextBuildMatchesLegacyOnRandomHistories) {
       cursor += static_cast<TokenId>(group);
     }
 
-    auto legacy = ModuleUniverse::Build(universe, history);
+    auto legacy = legacy::ModuleUniverse::Build(universe, history);
     ASSERT_TRUE(legacy.ok()) << "trial " << trial;
     analysis::AnalysisContext context =
         analysis::AnalysisContext::Build(history, &index, universe);
@@ -191,7 +207,7 @@ TEST(ModuleUniverseTest, ContextBuildRejectsLikeLegacy) {
   std::vector<RsView> history = {View(0, {1, 2}), View(1, {2, 3})};
   analysis::AnalysisContext context =
       analysis::AnalysisContext::Build(history, nullptr, universe);
-  auto legacy = ModuleUniverse::Build(universe, history);
+  auto legacy = legacy::ModuleUniverse::Build(universe, history);
   auto fast = ModuleUniverse::Build(universe, history, context);
   ASSERT_FALSE(fast.ok());
   EXPECT_TRUE(fast.status().IsInvalidArgument());
@@ -202,7 +218,7 @@ TEST(ModuleUniverseTest, ContextBuildRejectsLikeLegacy) {
   std::vector<RsView> outside = {View(0, {1, 2, 99})};
   analysis::AnalysisContext outside_context =
       analysis::AnalysisContext::Build(outside, nullptr, small_universe);
-  auto legacy_outside = ModuleUniverse::Build(small_universe, outside);
+  auto legacy_outside = legacy::ModuleUniverse::Build(small_universe, outside);
   auto fast_outside =
       ModuleUniverse::Build(small_universe, outside, outside_context);
   ASSERT_FALSE(fast_outside.ok());
@@ -214,7 +230,9 @@ TEST(ModuleUniverseTest, ContextBuildRejectsLikeLegacy) {
 TEST(ModuleUniverseTest, ModuleIndicesAreDense) {
   std::vector<RsView> history = {View(0, {1, 2})};
   std::vector<TokenId> universe = {1, 2, 3};
-  auto mu = ModuleUniverse::Build(universe, history);
+  analysis::AnalysisContext context =
+      analysis::AnalysisContext::Build(history, nullptr, universe);
+  auto mu = ModuleUniverse::Build(universe, history, context);
   ASSERT_TRUE(mu.ok());
   for (size_t i = 0; i < mu->module_count(); ++i) {
     EXPECT_EQ(mu->module(i).index, i);

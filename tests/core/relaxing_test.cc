@@ -26,6 +26,7 @@ SelectionInput TwoHtInput(const chain::HtIndex* idx,
   input.universe = kUniverse;
   input.requirement = req;
   input.index = idx;
+  InternInstance(&input);
   input.policy.strict_dtrs = false;
   return input;
 }
@@ -84,6 +85,7 @@ TEST(RelaxingTest, UnsatisfiableAtFloorIsReported) {
   input.universe = universe;
   input.requirement = {0.5, 4};
   input.index = &idx;
+  InternInstance(&input);
   input.policy.strict_dtrs = false;
   ProgressiveSelector inner;
   RelaxationPolicy policy;

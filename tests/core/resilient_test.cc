@@ -63,6 +63,7 @@ struct RandomInstance {
     input.requirement = {1.0 + rng->NextDouble(),
                          2 + static_cast<int>(rng->NextBounded(4))};
     input.index = &index;
+    InternInstance(&input);
     input.policy.strict_dtrs = false;
     input.policy.check_dtrs_explicitly = false;
     input.policy.check_immutability = false;
@@ -94,6 +95,7 @@ struct HardInstance {
     input.target = 1;
     input.requirement = {1.0, 10};
     input.index = &index;
+    InternInstance(&input);
     input.policy.strict_dtrs = false;
     input.policy.check_dtrs_explicitly = false;
     input.policy.check_immutability = false;
@@ -232,6 +234,7 @@ TEST(ResilientSelectorTest, SkippedBfsAboveTheCapIsNotDegraded) {
   input.target = 5;
   input.requirement = {2.0, 3};
   input.index = &index;
+  InternInstance(&input);
 
   ResilientOptions options;
   options.allow_relaxation = false;

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "core/baselines.h"
+#include "core/bfs.h"
 #include "core/game_theoretic.h"
 #include "core/module_greedy.h"
 #include "core/progressive.h"
+#include "core/relaxing.h"
+#include "core/resilient.h"
 
 namespace tokenmagic::core {
 namespace {
@@ -58,6 +63,7 @@ struct Example3 {
     input.history = history;
     input.requirement = {1.0, 4};
     input.index = &index;
+    InternInstance(&input);
     // The worked example applies the raw requirement with no extra
     // configuration checks.
     input.policy.strict_dtrs = false;
@@ -157,6 +163,7 @@ TEST(SelectorsTest, UnsatisfiableUniverseReported) {
   input.universe = universe;
   input.requirement = {1.0, 4};
   input.index = &idx;
+  InternInstance(&input);
   input.policy.strict_dtrs = false;
   common::Rng rng(1);
   ProgressiveSelector progressive;
@@ -181,6 +188,7 @@ TEST(SelectorsTest, TargetOutsideUniverseIsInvalid) {
   input.universe = universe;
   input.requirement = {1.0, 1};
   input.index = &idx;
+  InternInstance(&input);
   common::Rng rng(1);
   ProgressiveSelector selector;
   EXPECT_TRUE(selector.Select(input, &rng).status().IsInvalidArgument());
@@ -194,6 +202,67 @@ TEST(SelectorsTest, MissingIndexIsInvalid) {
   common::Rng rng(1);
   ProgressiveSelector selector;
   EXPECT_TRUE(selector.Select(input, &rng).status().IsInvalidArgument());
+}
+
+/// A ladder stage that only counts how often it was asked to select.
+class CountingSelector : public MixinSelector {
+ public:
+  common::Result<SelectionResult> Select(const SelectionInput& input,
+                                         common::Rng* /*rng*/) const override {
+    ++calls;
+    SelectionResult result;
+    result.members = {input.target};
+    return result;
+  }
+  std::string_view name() const override { return "COUNT"; }
+  mutable int calls = 0;
+};
+
+TEST(SelectorsTest, MissingContextIsInvalidForEverySelector) {
+  Example3 fx;
+  SelectionInput input = fx.input;
+  input.context = nullptr;  // every other field is valid
+
+  ProgressiveSelector progressive;
+  GameTheoreticSelector game;
+  SmallestSelector smallest;
+  RandomSelector random;
+  MoneroSelector monero(3);
+  BfsSelector bfs;
+  RelaxingSelector relaxing(&progressive);
+  CountingSelector stage;
+  ResilientSelector resilient({&stage});
+  using Run = std::function<common::Status(common::Rng*)>;
+  auto via = [&input](const MixinSelector& selector) -> Run {
+    return [&input, &selector](common::Rng* rng) {
+      return selector.Select(input, rng).status();
+    };
+  };
+  const std::vector<std::pair<std::string, Run>> table = {
+      {"TM_P", via(progressive)},
+      {"TM_G", via(game)},
+      {"TM_S", via(smallest)},
+      {"TM_R", via(random)},
+      {"TM_M", via(monero)},
+      {"TM_B", via(bfs)},
+      {"relaxing",
+       [&](common::Rng* rng) { return relaxing.Select(input, rng).status(); }},
+      {"resilient",
+       [&](common::Rng* rng) {
+         return resilient.SelectWithReport(input, rng).status();
+       }},
+  };
+  for (const auto& [name, run] : table) {
+    common::Rng rng(1);
+    common::Status status = run(&rng);
+    EXPECT_TRUE(status.IsInvalidArgument())
+        << name << ": " << status.ToString();
+    EXPECT_NE(status.message().find("context"), std::string::npos)
+        << name << ": " << status.ToString();
+  }
+  // The ladder rejected the instance at entry: no stage ran, so no stage
+  // was recorded as skipped either.
+  EXPECT_EQ(stage.calls, 0);
 }
 
 TEST(SmallestTest, PrefersSmallModules) {
@@ -211,6 +280,7 @@ TEST(SmallestTest, PrefersSmallModules) {
   input.history = history;  // one big super RS
   input.requirement = {2.0, 3};
   input.index = &idx;
+  InternInstance(&input);
   input.policy.strict_dtrs = false;
   common::Rng rng(1);
   SmallestSelector selector;
@@ -243,6 +313,7 @@ TEST(MoneroSelectorTest, ProducesFixedSizeRing) {
   input.universe = universe;
   input.target = 50;
   input.index = &idx;
+  InternInstance(&input);
   common::Rng rng(3);
   MoneroSelector selector(11);
   auto result = selector.Select(input, &rng);
@@ -272,6 +343,7 @@ TEST(GameTheoreticTest, FallsBackToFeasibleProfileOnNonMonotoneInstance) {
   input.target = 12;
   input.requirement = {1.0, 4};
   input.index = &idx;
+  InternInstance(&input);
   input.policy.strict_dtrs = false;
   // Whole universe: q1 = 12, tail(4) = sum of ranks >= 4 over 9 HTs of
   // frequency 1 => 12 < 1*6? No: infeasible. Subset of singletons only:
@@ -298,6 +370,7 @@ TEST(MoneroSelectorTest, SmallUniverseUnsatisfiable) {
   input.universe = universe;
   input.target = 0;
   input.index = &idx;
+  InternInstance(&input);
   common::Rng rng(3);
   MoneroSelector selector(11);
   EXPECT_TRUE(selector.Select(input, &rng).status().IsUnsatisfiable());

@@ -211,6 +211,20 @@ TEST(CsvTest, MalformedInputRejected) {
                               "rs_id,proposed_at,c,ell,members\n"
                               "0,0,1.0,1,1;2\n")
                    .ok());
+  // RS ids must ascend: an out-of-order id and a duplicate id are both
+  // rejected with an IoError naming the offending line.
+  for (const char* rings : {"rs_id,proposed_at,c,ell,members\n"
+                            "5,0,1.0,1,1\n"
+                            "3,1,1.0,1,1\n",
+                            "rs_id,proposed_at,c,ell,members\n"
+                            "5,0,1.0,1,1\n"
+                            "5,1,1.0,1,1\n"}) {
+    auto ds = DatasetFromCsv("token_id,ht_id\n1,1\n", rings);
+    ASSERT_FALSE(ds.ok()) << rings;
+    EXPECT_EQ(ds.status().code(), common::StatusCode::kIoError);
+    EXPECT_NE(ds.status().message().find("line 3"), std::string::npos)
+        << ds.status().message();
+  }
 }
 
 TEST(CsvTest, LoadMissingDirectoryFails) {

@@ -71,6 +71,7 @@ TEST(EndToEndTest, MoneroLikeWorkloadSelectionsAreWellFormed) {
   input.history = ds.history;
   input.requirement = {0.6, 20};
   input.index = &ds.index;
+  core::InternInstance(&input);
 
   auto unspent = ds.UnspentTokens();
   for (int trial = 0; trial < 5; ++trial) {
@@ -96,6 +97,7 @@ TEST(EndToEndTest, SyntheticWorkloadBothAlgorithmsAgreeOnFeasibility) {
   input.history = ds.history;
   input.requirement = {0.6, 20};
   input.index = &ds.index;
+  core::InternInstance(&input);
   input.target = ds.UnspentTokens().front();
 
   ProgressiveSelector progressive;

@@ -188,6 +188,7 @@ TEST_P(SelectorPropertySweep, SelectionsSatisfyAllPracticalConstraints) {
   input.history = ds.history;
   input.requirement = {1.0, 6};
   input.index = &ds.index;
+  core::InternInstance(&input);
   input.policy.check_dtrs_explicitly = true;
   input.policy.check_immutability = true;
   input.target = ds.UnspentTokens()[rng.NextBounded(20)];
@@ -246,6 +247,7 @@ TEST_P(SelectorPropertySweep, GameRespectsTheorem67SizeBound) {
   input.history = ds.history;
   input.requirement = req;
   input.index = &ds.index;
+  core::InternInstance(&input);
   // The bound is stated for the raw requirement (no strict-mode bump).
   input.policy.strict_dtrs = false;
   input.target = ds.UnspentTokens()[0];
@@ -292,6 +294,7 @@ TEST(SelectorAggregateTest, GameBeatsRandomOnAverage) {
     input.history = ds.history;
     input.requirement = {1.0, 8};
     input.index = &ds.index;
+    core::InternInstance(&input);
     input.target = ds.UnspentTokens()[0];
 
     core::GameTheoreticSelector game;

@@ -168,6 +168,7 @@ int Select(const Args& args) {
   input.requirement = {args.GetDouble("c", 0.6),
                        static_cast<int>(args.GetInt("ell", 30))};
   input.index = &ds->index;
+  core::InternInstance(&input);
 
   std::string algo = args.Get("algo", "TM_P");
   common::Rng rng(static_cast<uint64_t>(args.GetInt("seed", 1)));
