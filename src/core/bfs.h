@@ -13,6 +13,12 @@
 
 namespace tokenmagic::core {
 
+/// The mixin-universe cap for exact BFS wherever a caller must get an
+/// answer in bounded time (the resilient ladder's first stage, the CLI):
+/// past a couple of dozen tokens the O(n^n) search outlives any request
+/// budget.
+inline constexpr size_t kBfsBoundedMaxUniverse = 24;
+
 class BfsSelector : public MixinSelector {
  public:
   struct Options {

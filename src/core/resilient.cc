@@ -51,7 +51,7 @@ ResilientSelector::ResilientSelector(ResilientOptions options)
   // fast with InvalidArgument instead of an exponential spin; the stage
   // deadline bounds it in time either way.
   BfsSelector::Options bfs_options;
-  bfs_options.max_universe = 24;
+  bfs_options.max_universe = kBfsBoundedMaxUniverse;
   owned_.push_back(std::make_unique<BfsSelector>(bfs_options));
   owned_.push_back(std::make_unique<ProgressiveSelector>());
   owned_.push_back(std::make_unique<SmallestSelector>());

@@ -97,11 +97,51 @@ U256 FieldPow(const U256& a, const U256& e) {
   return result;
 }
 
+namespace {
+
+// a^(2^count) by repeated squaring.
+U256 FieldSqrN(U256 a, int count) {
+  for (int i = 0; i < count; ++i) a = FieldSqr(a);
+  return a;
+}
+
+// a^(2^223 - 1) and the intermediate a^(2^22 - 1), a^(2^2 - 1): the shared
+// head of the secp256k1 addition chains for p - 2 and (p + 1) / 4, whose
+// binary forms are runs of ones of lengths 1, 2, 22 and 223 (the chain
+// libsecp256k1 uses: 2^k - 1 for k = 2, 3, 6, 9, 11, 22, 44, 88, 176, 220,
+// 223). 11 multiplies and 222 squarings.
+struct ChainHead {
+  U256 x2;
+  U256 x22;
+  U256 x223;
+};
+
+ChainHead FieldChainHead(const U256& a) {
+  ChainHead head;
+  head.x2 = FieldMul(FieldSqr(a), a);
+  U256 x3 = FieldMul(FieldSqr(head.x2), a);
+  U256 x6 = FieldMul(FieldSqrN(x3, 3), x3);
+  U256 x9 = FieldMul(FieldSqrN(x6, 3), x3);
+  U256 x11 = FieldMul(FieldSqrN(x9, 2), head.x2);
+  head.x22 = FieldMul(FieldSqrN(x11, 11), x11);
+  U256 x44 = FieldMul(FieldSqrN(head.x22, 22), head.x22);
+  U256 x88 = FieldMul(FieldSqrN(x44, 44), x44);
+  U256 x176 = FieldMul(FieldSqrN(x88, 88), x88);
+  U256 x220 = FieldMul(FieldSqrN(x176, 44), x44);
+  head.x223 = FieldMul(FieldSqrN(x220, 3), x3);
+  return head;
+}
+
+}  // namespace
+
 U256 FieldInv(const U256& a) {
   TM_CHECK(!a.IsZero());
-  U256 exponent;
-  U256::Sub(kPrime, U256(2), &exponent);
-  return FieldPow(a, exponent);
+  // a^(p - 2): 255 squarings and 15 multiplies.
+  ChainHead head = FieldChainHead(a);
+  U256 t = FieldMul(FieldSqrN(head.x223, 23), head.x22);
+  t = FieldMul(FieldSqrN(t, 5), a);
+  t = FieldMul(FieldSqrN(t, 3), head.x2);
+  return FieldMul(FieldSqrN(t, 2), a);
 }
 
 U256 FieldNeg(const U256& a) {
@@ -113,20 +153,13 @@ U256 FieldNeg(const U256& a) {
 
 bool FieldSqrt(const U256& a, U256* root) {
   TM_CHECK(root != nullptr);
-  // (p + 1) / 4, precomputable since p ≡ 3 (mod 4).
-  U256 exponent;
-  U256::Add(kPrime, U256::One(), &exponent);
-  // Divide by 4 = shift right twice.
-  for (int shift = 0; shift < 2; ++shift) {
-    uint64_t carry = 0;
-    for (int i = 3; i >= 0; --i) {
-      uint64_t next = exponent.limbs[i] & 1;
-      exponent.limbs[i] = (exponent.limbs[i] >> 1) | (carry << 63);
-      carry = next;
-    }
-  }
-  U256 candidate = FieldPow(a, exponent);
-  if (FieldSqr(candidate) == U256::Mod(a, kPrime)) {
+  // a^((p + 1) / 4): 253 squarings and 13 multiplies.
+  U256 reduced = U256::Mod(a, kPrime);
+  ChainHead head = FieldChainHead(reduced);
+  U256 t = FieldMul(FieldSqrN(head.x223, 23), head.x22);
+  t = FieldMul(FieldSqrN(t, 6), head.x2);
+  U256 candidate = FieldSqrN(t, 2);
+  if (FieldSqr(candidate) == reduced) {
     *root = candidate;
     return true;
   }

@@ -26,11 +26,13 @@ U256 FieldMul(const U256& a, const U256& b);
 U256 FieldSqr(const U256& a);
 /// a^e mod p.
 U256 FieldPow(const U256& a, const U256& e);
-/// Multiplicative inverse via Fermat (a must be non-zero).
+/// Multiplicative inverse a^(p-2) (Fermat) along the fixed secp256k1
+/// addition chain: 255 squarings, 15 multiplies (a must be non-zero).
 U256 FieldInv(const U256& a);
 /// Negation: p - a (or 0 for a == 0).
 U256 FieldNeg(const U256& a);
-/// Square root when it exists: since p ≡ 3 (mod 4), r = a^((p+1)/4).
+/// Square root when it exists: since p ≡ 3 (mod 4), r = a^((p+1)/4),
+/// along the same addition chain (253 squarings, 13 multiplies).
 /// Returns true and sets *root iff r*r == a.
 bool FieldSqrt(const U256& a, U256* root);
 

@@ -1,10 +1,11 @@
 #include "crypto/secp256k1.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <span>
 
 #include "common/macros.h"
-#include "common/strings.h"
 #include "crypto/ct.h"
 #include "crypto/memzero.h"
 #include "crypto/sha256.h"
@@ -25,19 +26,30 @@ struct Jacobian {
   bool IsIdentity() const { return z.IsZero(); }
 };
 
+// An affine table entry; never the identity.
+struct Affine {
+  U256 x;
+  U256 y;
+};
+
 Jacobian ToJacobian(const Point& p) {
   if (p.infinity) return Jacobian::Identity();
   return Jacobian{p.x, p.y, U256::One()};
 }
 
-Point ToAffine(const Jacobian& j) {
-  if (j.IsIdentity()) return Point::Infinity();
-  U256 z_inv = FieldInv(j.z);
+// (X / Z^2, Y / Z^3) of a non-identity point, given 1 / Z.
+Affine ScaleToAffine(const Jacobian& j, const U256& z_inv) {
   U256 z_inv2 = FieldSqr(z_inv);
   U256 z_inv3 = FieldMul(z_inv2, z_inv);
+  return Affine{FieldMul(j.x, z_inv2), FieldMul(j.y, z_inv3)};
+}
+
+Point ToAffine(const Jacobian& j) {
+  if (j.IsIdentity()) return Point::Infinity();
+  Affine a = ScaleToAffine(j, FieldInv(j.z));
   Point p;
-  p.x = FieldMul(j.x, z_inv2);
-  p.y = FieldMul(j.y, z_inv3);
+  p.x = a.x;
+  p.y = a.y;
   p.infinity = false;
   return p;
 }
@@ -64,7 +76,7 @@ Jacobian JacobianDouble(const Jacobian& p) {
   return out;
 }
 
-// Mixed/general addition in Jacobian coordinates ("add-2007-bl").
+// General addition in Jacobian coordinates ("add-2007-bl").
 Jacobian JacobianAdd(const Jacobian& p, const Jacobian& q) {
   if (p.IsIdentity()) return q;
   if (q.IsIdentity()) return p;
@@ -93,60 +105,430 @@ Jacobian JacobianAdd(const Jacobian& p, const Jacobian& q) {
   return out;
 }
 
-Jacobian JacobianMul(const U256& k, const Jacobian& p) {
+// Mixed addition p + q with an affine q ("madd-2007-bl": 7M + 4S against
+// add-2007-bl's 11M + 5S). Complete like JacobianAdd: an identity p,
+// p == q and p == -q all take their own branch.
+Jacobian JacobianAddAffine(const Jacobian& p, const Affine& q) {
+  if (p.IsIdentity()) return Jacobian{q.x, q.y, U256::One()};
+  U256 z1z1 = FieldSqr(p.z);
+  U256 u2 = FieldMul(q.x, z1z1);
+  U256 s2 = FieldMul(FieldMul(q.y, p.z), z1z1);
+  if (u2 == p.x) {
+    if (s2 == p.y) return JacobianDouble(p);
+    return Jacobian::Identity();  // P + (-P)
+  }
+  U256 h = FieldSub(u2, p.x);
+  U256 hh = FieldSqr(h);
+  U256 i = FieldAdd(hh, hh);
+  i = FieldAdd(i, i);                        // 4*HH
+  U256 j = FieldMul(h, i);
+  U256 r = FieldSub(s2, p.y);
+  r = FieldAdd(r, r);
+  U256 v = FieldMul(p.x, i);
+  Jacobian out;
+  out.x = FieldSub(FieldSub(FieldSqr(r), j), FieldAdd(v, v));
+  U256 yj = FieldMul(p.y, j);
+  out.y = FieldSub(FieldMul(r, FieldSub(v, out.x)), FieldAdd(yj, yj));
+  out.z = FieldSub(FieldSub(FieldSqr(FieldAdd(p.z, h)), z1z1), hh);
+  return out;
+}
+
+// out[i] = (2i + 1)·p: one doubling and out.size() - 1 additions.
+void OddMultiples(const Jacobian& p, std::span<Jacobian> out) {
+  out[0] = p;
+  Jacobian twice = JacobianDouble(p);
+  for (size_t i = 1; i < out.size(); ++i) {
+    out[i] = JacobianAdd(out[i - 1], twice);
+  }
+}
+
+// Affine forms of non-identity points with one field inversion for the
+// whole batch (Montgomery's trick) and three multiplies per point.
+void BatchToAffine(std::span<const Jacobian> in, std::span<Affine> out) {
+  TM_DCHECK(in.size() == out.size() && !in.empty());
+  // out[i].x holds the prefix product z_0 ... z_i until out[i] is written.
+  U256 product = in[0].z;
+  out[0].x = product;
+  for (size_t i = 1; i < in.size(); ++i) {
+    product = FieldMul(product, in[i].z);
+    out[i].x = product;
+  }
+  U256 inv = FieldInv(product);  // 1 / (z_0 ... z_i) at step i below
+  for (size_t i = in.size() - 1; i > 0; --i) {
+    U256 z_inv = FieldMul(inv, out[i - 1].x);
+    inv = FieldMul(inv, in[i].z);
+    out[i] = ScaleToAffine(in[i], z_inv);
+  }
+  out[0] = ScaleToAffine(in[0], inv);
+}
+
+// ---------------------------------------------------------------------------
+// Variable-time kernel: GLV split, width-w NAF digits, Straus interleaving.
+
+// The GLV endomorphism (libsecp256k1's constants): λ·(x, y) = (β·x, y)
+// for every curve point, with λ³ ≡ 1 (mod n) and β³ ≡ 1 (mod p).
+constexpr U256 kLambda(0xdf02967c1b23bd72ull, 0x122e22ea20816678ull,
+                       0xa5261c028812645aull, 0x5363ad4cc05c30e0ull);
+constexpr U256 kBeta(0xc1396c28719501eeull, 0x9cf0497512f58995ull,
+                     0x6e64479eac3434e9ull, 0x7ae96a2b657c0710ull);
+// The short lattice basis (b1, b2) of k ↦ k1 + k2·λ and its rounding
+// multipliers g1 = round(2^384·b2 / n), g2 = round(2^384·(-b1) / n).
+constexpr U256 kMinusB1(0x6f547fa90abfe4c3ull, 0xe4437ed6010e8828ull, 0, 0);
+constexpr U256 kMinusB2(0xd765cda83db1562cull, 0x8a280ac50774346dull,
+                        0xfffffffffffffffeull, 0xffffffffffffffffull);
+constexpr U256 kG1(0xe893209a45dbb031ull, 0x3daa8a1471e8ca7full,
+                   0xe86c90e49284eb15ull, 0x3086d221a7d46bcdull);
+constexpr U256 kG2(0x1571b4ae8ac47f71ull, 0x221208ac9df506c6ull,
+                   0x6f547fa90abfe4c4ull, 0xe4437ed6010e8828ull);
+
+// Digits of a GLV half: |half| < 2^128, so its wNAF has at most 129.
+constexpr int kNafDigits = 129;
+// G and λG use static affine tables of 2^(w-2) odd multiples; any other
+// point gets per-call Jacobian tables (the table build is paid per call).
+constexpr int kWindowG = 8;
+constexpr int kWindowVar = 5;
+constexpr size_t kOddG = size_t{1} << (kWindowG - 2);
+constexpr size_t kOddVar = size_t{1} << (kWindowVar - 2);
+
+// One half of a GLV split: |value| = magnitude < 2^128.
+struct GlvHalf {
+  U256 magnitude;
+  bool negative = false;
+};
+
+// round(k·g / 2^384).
+U256 MulShift384(const U256& k, const U256& g) {
+  U512 wide = U256::Mul(k, g);
+  U256 out(wide.limbs[6], wide.limbs[7], 0, 0);
+  U256::Add(out, U256(wide.limbs[5] >> 63), &out);
+  return out;
+}
+
+// Reads v ∈ [0, n) as the signed value in (-n/2, n/2) it stands for.
+GlvHalf SignedHalf(const U256& v) {
+  if ((v.limbs[2] | v.limbs[3]) == 0) return GlvHalf{v, false};
+  GlvHalf half{U256(), true};
+  U256::Sub(GroupOrder(), v, &half.magnitude);
+  TM_DCHECK((half.magnitude.limbs[2] | half.magnitude.limbs[3]) == 0);
+  return half;
+}
+
+// k ≡ k1 + k2·λ (mod n) with |k1|, |k2| < 2^128, for k < n
+// (libsecp256k1's secp256k1_scalar_split_lambda).
+std::array<GlvHalf, 2> SplitLambda(const U256& k) {
+  U256 c1 = ScalarMul(MulShift384(k, kG1), kMinusB1);
+  U256 c2 = ScalarMul(MulShift384(k, kG2), kMinusB2);
+  U256 k2 = ScalarAdd(c1, c2);
+  U256 k1 = ScalarSub(k, ScalarMul(k2, kLambda));
+  return {SignedHalf(k1), SignedHalf(k2)};
+}
+
+// `count` (<= 8) bits of k starting at bit `pos`.
+int BitsAt(const U256& k, int pos, int count) {
+  int limb = pos >> 6;
+  int shift = pos & 63;
+  uint64_t bits = k.limbs[limb] >> shift;
+  if (shift + count > 64 && limb < 3) bits |= k.limbs[limb + 1] << (64 - shift);
+  return static_cast<int>(bits & ((uint64_t{1} << count) - 1));
+}
+
+// One term of a Straus sum: the wNAF digits of a GLV half, and the odd
+// multiples (2i + 1)·Q they index, affine or Jacobian.
+struct WnafTerm {
+  std::array<int16_t, kNafDigits> digits{};
+  int length = 0;  // highest non-zero digit + 1
+  // tm-borrows(caller): the static generator tables, or the per-call
+  // tables of the StrausSum that owns this term.
+  std::span<const Affine> affine;
+  // tm-borrows(caller): the per-call tables of the owning StrausSum.
+  std::span<const Jacobian> jacobian;
+};
+
+// Width-w NAF of a GLV half: digits in {0, ±1, ±3, ..., ±(2^(w-1) - 1)},
+// any two non-zero digits at least w apart.
+void Wnaf(const GlvHalf& half, int w, WnafTerm* term) {
+  int sign = half.negative ? -1 : 1;
+  int carry = 0;
+  int bit = 0;
+  while (bit < kNafDigits) {
+    if (static_cast<int>(half.magnitude.Bit(bit)) == carry) {
+      ++bit;
+      continue;
+    }
+    int now = std::min(w, kNafDigits - bit);
+    int word = BitsAt(half.magnitude, bit, now) + carry;
+    carry = (word >> (w - 1)) & 1;
+    word -= carry << w;
+    term->digits[bit] = static_cast<int16_t>(sign * word);
+    term->length = bit + 1;
+    bit += now;
+  }
+  TM_DCHECK(carry == 0);
+}
+
+// The one variable-time kernel: Σ digits·table over every term, by Straus
+// interleaving (one shared doubling per digit position, one addition per
+// non-zero digit). Public scalars only.
+Jacobian WnafMul(std::span<const WnafTerm> terms) {
+  int length = 0;
+  for (const WnafTerm& term : terms) length = std::max(length, term.length);
   Jacobian acc = Jacobian::Identity();
-  int top = k.HighestBit();
-  for (int i = top; i >= 0; --i) {
+  for (int i = length - 1; i >= 0; --i) {
     acc = JacobianDouble(acc);
-    if (k.Bit(i)) acc = JacobianAdd(acc, p);
+    for (const WnafTerm& term : terms) {
+      int digit = term.digits[i];
+      if (digit == 0) continue;
+      size_t index = static_cast<size_t>(digit < 0 ? -digit : digit) >> 1;
+      if (!term.affine.empty()) {
+        Affine q = term.affine[index];
+        if (digit < 0) q.y = FieldNeg(q.y);
+        acc = JacobianAddAffine(acc, q);
+      } else {
+        Jacobian q = term.jacobian[index];
+        if (digit < 0) q.y = FieldNeg(q.y);
+        acc = JacobianAdd(acc, q);
+      }
+    }
   }
   return acc;
 }
 
-// Swaps a and b when `swap` is 1, leaves them untouched when 0, with no
-// branch: mask is all-ones or all-zero and the XOR trick moves limbs
-// unconditionally through the same instruction stream.
-// tm-ct-ladder
-void JacobianCondSwap(uint64_t swap, Jacobian* a, Jacobian* b) {
-  uint64_t mask = 0 - swap;
-  // tm-declassify(fixed four-limb trip count, independent of swap mask)
-  for (int i = 0; i < 4; ++i) {
-    uint64_t tx = mask & (a->x.limbs[i] ^ b->x.limbs[i]);
-    a->x.limbs[i] ^= tx;
-    b->x.limbs[i] ^= tx;
-    uint64_t ty = mask & (a->y.limbs[i] ^ b->y.limbs[i]);
-    a->y.limbs[i] ^= ty;
-    b->y.limbs[i] ^= ty;
-    uint64_t tz = mask & (a->z.limbs[i] ^ b->z.limbs[i]);
-    a->z.limbs[i] ^= tz;
-    b->z.limbs[i] ^= tz;
+// Odd multiples of G and of λG, built on first use and never again: a
+// process that does no public-scalar multiplication by G never pays.
+struct GeneratorTables {
+  GeneratorTables();
+  std::array<Affine, kOddG> g;
+  std::array<Affine, kOddG> lambda_g;
+};
+
+GeneratorTables::GeneratorTables() {
+  std::array<Jacobian, kOddG> multiples;
+  OddMultiples(ToJacobian(Secp256k1::Generator()), multiples);
+  BatchToAffine(multiples, g);
+  for (size_t i = 0; i < kOddG; ++i) {
+    lambda_g[i] = Affine{FieldMul(kBeta, g[i].x), g[i].y};
   }
 }
 
-// RFC 7748-style ladder with lazy conditional swaps: all 256 iterations run
-// regardless of where the highest set bit of k falls, and each iteration
-// executes exactly one JacobianAdd and one JacobianDouble. The underlying
-// field routines still take value-dependent paths (identity handling,
-// modular-reduction borrows), so this is source-level scalar-bit hygiene,
-// not a full machine-level constant-time guarantee. tm_ct's ladder-hygiene
-// rule audits this body: no scalar .Bit() extraction outside a masked
-// expression, no non-CT multiply, no unannotated control flow.
+const GeneratorTables& GeneratorOddMultiples() {
+  static const GeneratorTables tables;
+  return tables;
+}
+
+// A sum Σ k_i·P_i of up to two (scalar, point) pairs, as up to four wNAF
+// terms. Owns the per-call tables the terms of a variable point index.
+class StrausSum {
+ public:
+  void Add(const U256& k, const Point& p) {
+    if (p.infinity) return;
+    U256 reduced = ScalarReduce(k);
+    if (reduced.IsZero()) return;
+    std::array<GlvHalf, 2> halves = SplitLambda(reduced);
+    TM_CHECK(term_count_ + 2 <= terms_.size());
+    WnafTerm& low = terms_[term_count_++];
+    WnafTerm& high = terms_[term_count_++];
+    if (p == Secp256k1::Generator()) {
+      Wnaf(halves[0], kWindowG, &low);
+      Wnaf(halves[1], kWindowG, &high);
+      low.affine = GeneratorOddMultiples().g;
+      high.affine = GeneratorOddMultiples().lambda_g;
+      return;
+    }
+    Wnaf(halves[0], kWindowVar, &low);
+    Wnaf(halves[1], kWindowVar, &high);
+    PointTables& tables = tables_[table_count_++];
+    OddMultiples(ToJacobian(p), tables.p);
+    for (size_t i = 0; i < kOddVar; ++i) {
+      const Jacobian& m = tables.p[i];
+      tables.lambda_p[i] = Jacobian{FieldMul(kBeta, m.x), m.y, m.z};
+    }
+    low.jacobian = tables.p;
+    high.jacobian = tables.lambda_p;
+  }
+
+  Point Evaluate() const {
+    return ToAffine(WnafMul({terms_.data(), term_count_}));
+  }
+
+ private:
+  struct PointTables {
+    std::array<Jacobian, kOddVar> p;
+    std::array<Jacobian, kOddVar> lambda_p;
+  };
+  std::array<WnafTerm, 4> terms_;
+  std::array<PointTables, 2> tables_;
+  size_t term_count_ = 0;
+  size_t table_count_ = 0;
+};
+
+// ---------------------------------------------------------------------------
+// Constant-time kernels: odd signed base-16 digits, masked table scans.
+
+// 64 four-bit windows cover a 256-bit scalar; the digit of window w is
+// 2·nibble_w - 15, one of the 16 odd values -15, -13, ..., 13, 15.
+constexpr int kCtWindows = 64;
+constexpr size_t kCtDigits = 16;
+// A comb row holds |digit|·16^r·G for the 8 odd |digit| = 1, 3, ..., 15.
+constexpr size_t kCombEntries = 8;
+
+// 1 when a == b, 0 otherwise, without a branch.
+uint64_t CtEq(uint64_t a, uint64_t b) {
+  uint64_t diff = a ^ b;
+  return ((diff | (0 - diff)) >> 63) ^ 1;
+}
+
+// into |= from & mask, limb by limb.
+// tm-ct-ladder
+void MaskedOr(const U256& from, uint64_t mask, U256* into) {
+  // tm-declassify(fixed four-limb trip count, independent of the mask)
+  for (int l = 0; l < 4; ++l) into->limbs[l] |= from.limbs[l] & mask;
+}
+
+// Recodes k mod n into 64 nibbles whose odd digits 2·nibble - 15 sum to
+// k_odd = Σ (2·nibble_w - 15)·16^w, where k_odd is k when k is odd and
+// n - k when it is even. Returns 1 when k_odd = n - k, i.e. when the
+// product must be negated. Every digit is odd, so no window ever adds the
+// identity: (k_odd - 1)/2 + 2^255 = Σ nibble_w·16^w holds for any odd
+// k_odd < 2^256 because Σ 15·16^w = 2^256 - 1.
+// tm-ct-ladder
+uint64_t RecodeOddDigits(const U256& k,
+                         std::array<uint8_t, kCtWindows>* nibbles) {
+  U256 reduced = ScalarReduce(k);
+  uint64_t flip = (reduced.limbs[0] & 1) ^ 1;
+  U256 negated;
+  U256::Sub(GroupOrder(), reduced, &negated);
+  U256 odd = CtSelect(flip, negated, reduced);
+  U256 half;  // (odd >> 1) | 2^255
+  // tm-declassify(fixed three-limb trip count, independent of the scalar)
+  for (int l = 0; l < 3; ++l) {
+    half.limbs[l] = (odd.limbs[l] >> 1) | (odd.limbs[l + 1] << 63);
+  }
+  half.limbs[3] = (odd.limbs[3] >> 1) | (uint64_t{1} << 63);
+  // tm-declassify(fixed 64-window trip count, independent of the scalar)
+  for (int w = 0; w < kCtWindows; ++w) {
+    (*nibbles)[w] = static_cast<uint8_t>(
+        (half.limbs[w >> 4] >> ((w & 15) * 4)) & 15);
+  }
+  SecureWipe(reduced.limbs.data(), sizeof(reduced.limbs));
+  SecureWipe(negated.limbs.data(), sizeof(negated.limbs));
+  SecureWipe(odd.limbs.data(), sizeof(odd.limbs));
+  SecureWipe(half.limbs.data(), sizeof(half.limbs));
+  return flip;
+}
+
+// table[index], read by scanning all 16 entries under a mask: the memory
+// access pattern is the same for every index.
+// tm-ct-ladder
+Jacobian SelectJacobian(const std::array<Jacobian, kCtDigits>& table,
+                        uint64_t index) {
+  Jacobian out{U256::Zero(), U256::Zero(), U256::Zero()};
+  // tm-declassify(fixed full-table scan, independent of the index)
+  for (size_t j = 0; j < kCtDigits; ++j) {
+    uint64_t mask = 0 - CtEq(j, index);
+    MaskedOr(table[j].x, mask, &out.x);
+    MaskedOr(table[j].y, mask, &out.y);
+    MaskedOr(table[j].z, mask, &out.z);
+  }
+  return out;
+}
+
+// The comb entry for one nibble of row `row`: a masked scan of all 8
+// entries for |digit|, then a masked negation when the digit is negative.
+// nibble >= 8 gives digit 2·nibble - 15 = 2·(nibble & 7) + 1; nibble < 8
+// gives -(2·(7 - nibble) + 1), and 7 - nibble = (nibble ^ 7) & 7.
+// tm-ct-ladder
+Affine SelectComb(const std::array<Affine, kCombEntries>& row,
+                  uint64_t nibble) {
+  uint64_t negative = (nibble >> 3) ^ 1;
+  uint64_t index = (nibble ^ (0 - negative)) & 7;
+  Affine out{U256::Zero(), U256::Zero()};
+  // tm-declassify(fixed full-row scan, independent of the nibble)
+  for (size_t j = 0; j < kCombEntries; ++j) {
+    uint64_t mask = 0 - CtEq(j, index);
+    MaskedOr(row[j].x, mask, &out.x);
+    MaskedOr(row[j].y, mask, &out.y);
+  }
+  out.y = CtSelect(negative, FieldNeg(out.y), out.y);
+  return out;
+}
+
+// table[j] = (2j - 15)·p: entries 8..15 are p, 3p, ..., 15p and entries
+// 7..0 their negations.
+void SignedOddMultiples(const Jacobian& p,
+                        std::array<Jacobian, kCtDigits>* table) {
+  constexpr size_t kHalf = kCtDigits / 2;
+  std::span<Jacobian> positive(table->data() + kHalf, kHalf);
+  OddMultiples(p, positive);
+  for (size_t i = 0; i < kHalf; ++i) {
+    Jacobian negative = positive[i];
+    negative.y = FieldNeg(negative.y);
+    (*table)[kHalf - 1 - i] = negative;
+  }
+}
+
+// Constant-time k·p for a secret k: Horner over the 64 odd signed digits,
+// each window four doublings and one addition of a masked-scan entry of
+// the 16-entry table. The field arithmetic underneath still takes
+// value-dependent paths (see MulCT).
 // tm-ct-ladder
 Jacobian JacobianMulCT(const U256& k, const Jacobian& p) {
-  Jacobian r0 = Jacobian::Identity();
-  Jacobian r1 = p;
-  uint64_t swap = 0;
-  // tm-declassify(fixed 256-iteration trip count, independent of scalar)
-  for (int i = 255; i >= 0; --i) {
-    uint64_t bit = (k.limbs[i >> 6] >> (i & 63)) & 1;
-    swap ^= bit;
-    JacobianCondSwap(swap, &r0, &r1);
-    swap = bit;
-    r1 = JacobianAdd(r0, r1);
-    r0 = JacobianDouble(r0);
+  std::array<uint8_t, kCtWindows> nibbles;
+  uint64_t flip = RecodeOddDigits(k, &nibbles);
+  std::array<Jacobian, kCtDigits> table;
+  SignedOddMultiples(p, &table);
+  Jacobian acc = SelectJacobian(table, nibbles[kCtWindows - 1]);
+  // tm-declassify(fixed 63-window trip count, independent of the scalar)
+  for (int w = kCtWindows - 2; w >= 0; --w) {
+    // tm-declassify(fixed four-doubling trip count, independent of the scalar)
+    for (int d = 0; d < 4; ++d) acc = JacobianDouble(acc);
+    acc = JacobianAdd(acc, SelectJacobian(table, nibbles[w]));
   }
-  JacobianCondSwap(swap, &r0, &r1);
-  return r0;
+  acc.y = CtSelect(flip, FieldNeg(acc.y), acc.y);
+  SecureWipe(nibbles.data(), nibbles.size());
+  return acc;
+}
+
+// Rows of the fixed-base comb: rows[r][j] = (2j + 1)·16^r·G, affine.
+// 64 × 8 entries, 32 KiB, built row by row on first use (one batch
+// inversion per row, so the transient is one row of Jacobian points).
+struct CombTable {
+  CombTable();
+  std::array<std::array<Affine, kCombEntries>, kCtWindows> rows;
+};
+
+CombTable::CombTable() {
+  Jacobian base = ToJacobian(Secp256k1::Generator());
+  std::array<Jacobian, kCombEntries> row;
+  for (auto& affine_row : rows) {
+    OddMultiples(base, row);
+    BatchToAffine(row, affine_row);
+    for (int d = 0; d < 4; ++d) base = JacobianDouble(base);
+  }
+}
+
+const CombTable& GeneratorComb() {
+  static const CombTable comb;
+  return comb;
+}
+
+// Constant-time k·G for a secret k: the fixed-base comb. Window w adds
+// digit_w·16^w·G straight from row w — one masked scan and one mixed
+// addition per window, no doublings. The accumulator starts at the top
+// window's entry, so the identity never reaches an addition.
+// tm-ct-ladder
+Jacobian CombMulCT(const U256& k) {
+  const CombTable& comb = GeneratorComb();
+  std::array<uint8_t, kCtWindows> nibbles;
+  uint64_t flip = RecodeOddDigits(k, &nibbles);
+  Affine top = SelectComb(comb.rows[kCtWindows - 1], nibbles[kCtWindows - 1]);
+  Jacobian acc{top.x, top.y, U256::One()};
+  // tm-declassify(fixed 63-window trip count, independent of the scalar)
+  for (int w = kCtWindows - 2; w >= 0; --w) {
+    acc = JacobianAddAffine(acc, SelectComb(comb.rows[w], nibbles[w]));
+  }
+  acc.y = CtSelect(flip, FieldNeg(acc.y), acc.y);
+  SecureWipe(nibbles.data(), nibbles.size());
+  return acc;
 }
 
 }  // namespace
@@ -235,54 +617,47 @@ Point Secp256k1::Negate(const Point& p) {
 }
 
 Point Secp256k1::Mul(const U256& k, const Point& p) {
-  if (k.IsZero() || p.infinity) return Point::Infinity();
-  return ToAffine(JacobianMul(k, ToJacobian(p)));
+  StrausSum sum;
+  sum.Add(k, p);
+  return sum.Evaluate();
 }
 
 Point Secp256k1::MulBase(const U256& k) { return Mul(k, Generator()); }
 
 Point Secp256k1::MulCT(const U256& k, const Point& p) {
-  // No early-out on k == 0: the ladder runs all 256 iterations for every
-  // scalar and lands on the identity by itself.
+  // No early-out on k == 0: every window runs for every scalar and the
+  // even-scalar recoding (n - 0 = n) lands on the identity by itself.
   //
-  // Audited ladder boundary. The ladder is branch-free at the scalar-bit
-  // level, but its field arithmetic takes value-dependent paths, so the
-  // dynamic oracle would flag every limb of a poisoned scalar. Declassify
-  // a private copy here — the static analyzer mirrors this by treating
-  // MulCT as a taint sink — and wipe the copy before returning.
-  U256 k_ladder = k;
-  // tm-declassify(audited ladder boundary: scalar bits drive only masked swaps)
-  CtDeclassify(&k_ladder, sizeof(k_ladder));
-  Point out = ToAffine(JacobianMulCT(k_ladder, ToJacobian(p)));
-  SecureWipe(k_ladder.limbs.data(), sizeof(k_ladder.limbs));
+  // Audited kernel boundary. The window kernel is branch-free at the
+  // scalar-digit level, but its field arithmetic takes value-dependent
+  // paths, so the dynamic oracle would flag every limb of a poisoned
+  // scalar. Declassify a private copy here — the static analyzer mirrors
+  // this by treating MulCT as a taint sink — and wipe the copy before
+  // returning.
+  U256 k_window = k;
+  // tm-declassify(audited window boundary: digits drive only masked scans)
+  CtDeclassify(&k_window, sizeof(k_window));
+  Point out = ToAffine(JacobianMulCT(k_window, ToJacobian(p)));
+  SecureWipe(k_window.limbs.data(), sizeof(k_window.limbs));
   return out;
 }
 
 Point Secp256k1::MulBaseCT(const U256& k) {
-  return MulCT(k, Generator());
+  // Same audited boundary as MulCT, for the fixed-base comb.
+  U256 k_comb = k;
+  // tm-declassify(audited comb boundary: digits drive only masked scans)
+  CtDeclassify(&k_comb, sizeof(k_comb));
+  Point out = ToAffine(CombMulCT(k_comb));
+  SecureWipe(k_comb.limbs.data(), sizeof(k_comb.limbs));
+  return out;
 }
 
 Point Secp256k1::MulAdd(const U256& a, const Point& p, const U256& b,
                         const Point& q) {
-  // Interleaved double-and-add over both scalars (Shamir's trick).
-  Jacobian jp = ToJacobian(p);
-  Jacobian jq = ToJacobian(q);
-  Jacobian sum = JacobianAdd(jp, jq);
-  Jacobian acc = Jacobian::Identity();
-  int top = std::max(a.HighestBit(), b.HighestBit());
-  for (int i = top; i >= 0; --i) {
-    acc = JacobianDouble(acc);
-    bool bit_a = i <= a.HighestBit() && a.Bit(i);
-    bool bit_b = i <= b.HighestBit() && b.Bit(i);
-    if (bit_a && bit_b) {
-      acc = JacobianAdd(acc, sum);
-    } else if (bit_a) {
-      acc = JacobianAdd(acc, jp);
-    } else if (bit_b) {
-      acc = JacobianAdd(acc, jq);
-    }
-  }
-  return ToAffine(acc);
+  StrausSum sum;
+  sum.Add(a, p);
+  sum.Add(b, q);
+  return sum.Evaluate();
 }
 
 Point Secp256k1::HashToPoint(const uint8_t* data, size_t size,

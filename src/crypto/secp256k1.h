@@ -54,25 +54,32 @@ class Secp256k1 {
   /// Additive inverse.
   static Point Negate(const Point& p);
 
-  /// Scalar multiplication k * p (double-and-add, k taken mod n implicitly
-  /// only in the sense that the caller passes reduced scalars).
-  /// Variable-time: the bit pattern of `k` shapes the instruction stream, so
-  /// this must only ever see public scalars (verification, test vectors).
+  /// Scalar multiplication k * p (k taken mod n). Variable-time: GLV
+  /// split into two ~128-bit halves, width-w NAF digits, Straus
+  /// interleaving. The digits of `k` shape the instruction stream, so this
+  /// must only ever see public scalars (verification, test vectors).
   static Point Mul(const U256& k, const Point& p);
 
-  /// k * G with the fixed generator. Variable-time; public scalars only.
+  /// k * G with the fixed generator, from static affine tables of odd
+  /// multiples of G and λG built on first use. Variable-time; public
+  /// scalars only.
   static Point MulBase(const U256& k);
 
-  /// k * p via a Montgomery ladder whose source contains no branch or
-  /// memory access indexed by the bits of `k`: every iteration performs the
-  /// same add + double and selects operands with arithmetic masking. Use for
-  /// every secret scalar (signing nonces, private keys, key images).
+  /// k * p (k taken mod n) whose source contains no branch or memory
+  /// access indexed by the digits of `k`: the scalar is recoded into 64
+  /// odd signed base-16 digits, and every window performs four doublings
+  /// and one addition of an entry read by a masked scan of the whole
+  /// 16-entry table. Use for every secret scalar (signing nonces, private
+  /// keys, key images).
   static Point MulCT(const U256& k, const Point& p);
 
-  /// k * G, constant-time with respect to the bits of `k` (see MulCT).
+  /// k * G, constant-time with respect to the digits of `k`: a fixed-base
+  /// comb over a 64 × 8 static affine table (built on first use), one
+  /// masked scan and one mixed addition per window, no doublings.
   static Point MulBaseCT(const U256& k);
 
-  /// Shamir's trick: a*P + b*Q in one pass (used by signature verification).
+  /// a*P + b*Q in one Straus pass over the GLV halves of both scalars
+  /// (signature verification). Variable-time; public scalars only.
   static Point MulAdd(const U256& a, const Point& p, const U256& b,
                       const Point& q);
 

@@ -61,9 +61,9 @@ TEST(KeypairHygieneTest, CopiesWipeIndependently) {
   EXPECT_FALSE(original.secret.IsZero());
 }
 
-// The ladder must agree with the audited variable-time path on every scalar
-// shape that exercises a distinct code path: zero, one, small, high-bit-set,
-// and random full-width scalars.
+// The constant-time kernels must agree with the variable-time path on
+// every scalar shape that exercises a distinct code path: zero, one,
+// small, high-bit-set, and random full-width scalars.
 TEST(ConstantTimeMulTest, MatchesVariableTimePath) {
   common::Rng rng(31337);
   const Point& g = Secp256k1::Generator();
@@ -95,7 +95,7 @@ TEST(ConstantTimeMulTest, IdentityInputStaysIdentity) {
 }
 
 // Signing must produce identical signatures through the constant-time path
-// given identical randomness: determinism guards against the ladder
+// given identical randomness: determinism guards against the CT kernels
 // silently diverging from the old Mul-based signer.
 TEST(ConstantTimeMulTest, SigningIsDeterministicPerSeed) {
   common::Rng key_rng(5);

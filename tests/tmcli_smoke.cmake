@@ -14,3 +14,21 @@ foreach(args
     message(FATAL_ERROR "tmcli ${args} failed with ${code}")
   endif()
 endforeach()
+
+# Exact BFS on the 633-token dataset must end in a typed failure within
+# seconds (the universe cap answers InvalidArgument, the --budget wall
+# clock Timeout), never run unbounded.
+execute_process(
+  COMMAND ${TMCLI} select --data ${WORKDIR}/data --target 5 --algo TM_B
+          --ell 20 --budget 2
+  RESULT_VARIABLE code
+  ERROR_VARIABLE err
+  TIMEOUT 30)
+if(code EQUAL 0)
+  message(FATAL_ERROR "tmcli select --algo TM_B succeeded on a 633-token "
+                      "universe; expected a typed failure")
+endif()
+if(NOT err MATCHES "(Timeout|InvalidArgument)")
+  message(FATAL_ERROR "tmcli select --algo TM_B: expected Timeout or "
+                      "InvalidArgument, got code '${code}': ${err}")
+endif()

@@ -58,6 +58,16 @@ SERVE_BASE = {
     "latency_micros": {"p50": 900, "p99": 4000, "p999": 9000},
 }
 
+CRYPTO_BASE = {
+    "bench": "crypto_kernels",
+    "rows": [
+        {"name": "lsag_verify_n3", "new_us": 650.0, "oracle_us": 1300.0,
+         "speedup": 2.0},
+        {"name": "mul_base_ct", "new_us": 35.0, "oracle_us": 227.5,
+         "speedup": 6.5},
+    ],
+}
+
 
 class CheckerTest(unittest.TestCase):
     def setUp(self):
@@ -199,6 +209,43 @@ class ServeGateTest(CheckerTest):
                                         factor=0.8))
 
 
+class CryptoGateTest(CheckerTest):
+    def test_identical_run_passes(self):
+        self.assert_ok(self.run_checker(copy.deepcopy(CRYPTO_BASE)))
+
+    def test_kernel_slower_than_oracle_fails(self):
+        fresh = copy.deepcopy(CRYPTO_BASE)
+        fresh["rows"][0]["speedup"] = 0.95
+        baseline = copy.deepcopy(CRYPTO_BASE)
+        baseline["rows"][0]["speedup"] = 1.0
+        proc = self.run_checker(fresh, baseline=baseline)
+        self.assert_fail(proc, "slower than its frozen oracle")
+
+    def test_regression_past_factor_fails(self):
+        fresh = copy.deepcopy(CRYPTO_BASE)
+        fresh["rows"][1]["speedup"] = 4.0  # 0.62 of the 6.5x baseline
+        proc = self.run_checker(fresh, baseline=CRYPTO_BASE, factor=0.8)
+        self.assert_fail(proc, "mul_base_ct: speedup regressed to 0.62")
+
+    def test_small_wobble_within_factor_passes(self):
+        fresh = copy.deepcopy(CRYPTO_BASE)
+        fresh["rows"][0]["speedup"] = 1.7  # 0.85 of 2.0x
+        self.assert_ok(self.run_checker(fresh, baseline=CRYPTO_BASE,
+                                        factor=0.8))
+
+    def test_missing_row_fails(self):
+        fresh = copy.deepcopy(CRYPTO_BASE)
+        del fresh["rows"][1]
+        proc = self.run_checker(fresh, baseline=CRYPTO_BASE)
+        self.assert_fail(proc, "missing the mul_base_ct row")
+
+    def test_extra_fresh_row_is_not_gated(self):
+        fresh = copy.deepcopy(CRYPTO_BASE)
+        fresh["rows"].append({"name": "new_row", "new_us": 1.0,
+                              "oracle_us": 1.0, "speedup": 1.0})
+        self.assert_ok(self.run_checker(fresh, baseline=CRYPTO_BASE))
+
+
 class DispatchTest(CheckerTest):
     def test_unknown_bench_kind_rejected(self):
         proc = self.run_checker({"bench": "nonsense"})
@@ -215,7 +262,7 @@ class DispatchTest(CheckerTest):
         # A committed baseline compared against itself must pass: this
         # exercises the kind -> repo-root BENCH_*.json dispatch for real.
         for name in ("BENCH_context.json", "BENCH_chain_growth.json",
-                     "BENCH_serve.json"):
+                     "BENCH_serve.json", "BENCH_crypto.json"):
             with self.subTest(baseline=name):
                 fresh = json.loads((ROOT / name).read_text())
                 proc = self.run_checker(fresh, use_default_baseline=True)

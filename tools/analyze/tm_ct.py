@@ -34,9 +34,10 @@ Rules:
                     timing oracle).
   variable-time-op  `/` or `%` on tainted operands, or a tainted argument
                     passed to a variable-time routine (Secp256k1::Mul /
-                    MulBase / MulAdd, MulMod, PowMod, InvMod, ScalarInv,
-                    U256 Mod). Secret scalars must route through the
-                    audited ladder (MulCT / MulBaseCT).
+                    MulBase / MulAdd and their kernel WnafMul, MulMod,
+                    PowMod, InvMod, ScalarInv, U256 Mod). Secret scalars
+                    must route through the audited constant-time kernels
+                    (MulCT / MulBaseCT).
   secret-libcall    memcmp/strcmp/printf-family/HexEncode/ToHex on tainted
                     bytes; use crypto::CtEquals for secret comparisons.
   wipe-on-exit      a tainted local must reach SecureWipe / WipeScalars (or
@@ -48,9 +49,13 @@ Rules:
                     nothing, empty reason); tm-secret attached to nothing;
                     a self-wiping type whose destructor does not wipe.
   ladder-hygiene    inside a function marked `// tm-ct-ladder`: scalar
-                    .Bit() extraction, a non-CT multiply, or control flow
-                    lacking a tm-declassify annotation. Replaces the old
-                    tm_lint ct-region check with a checked contract.
+                    .Bit() extraction, a non-CT multiply, control flow
+                    lacking a tm-declassify annotation, or an array
+                    subscript built from anything but that body's `for`
+                    counters and constants (a `table[nibble]` lookup is a
+                    cache-timing oracle; window kernels read every entry
+                    under a mask instead). Replaces the old tm_lint
+                    ct-region check with a checked contract.
 
 Annotation grammar (anchored at comment start; prose about the grammar is
 not parsed as a use):
@@ -67,7 +72,7 @@ not parsed as a use):
                                 ladder-hygiene rule scans it.
 
 The model deliberately treats the outputs of MulCT/MulBaseCT as public:
-every curve point the ladder produces is either published by the protocol
+every curve point those kernels produce is either published by the protocol
 (public keys, key images, one-time keys) or — like the stealth shared
 point — explicitly re-classified with CtPoison + tm-secret at the call
 site. Amounts (Commitment::value, range-proof bit indices) are outside the
@@ -111,7 +116,8 @@ RULE_DESCRIPTIONS = {
     "ladder-hygiene":
         "tm-ct-ladder functions must stay branch-free in the scalar: no "
         ".Bit() extraction, no non-CT multiply, no unannotated control "
-        "flow.",
+        "flow, no subscript built from anything but loop counters and "
+        "constants.",
 }
 
 # Only the crypto layer is audited; the wallet/chain layers see secrets
@@ -184,6 +190,7 @@ VAR_TIME_CALLS = [
     ("Secp256k1::MulBase", re.compile(r'\bSecp256k1::MulBase\s*\(')),
     ("Secp256k1::MulAdd", re.compile(r'\bSecp256k1::MulAdd\s*\(')),
     ("JacobianMul", re.compile(r'\bJacobianMul\s*\(')),
+    ("WnafMul", re.compile(r'\bWnafMul\s*\(')),
     ("MulMod", re.compile(r'\bMulMod\s*\(')),
     ("PowMod", re.compile(r'\bPowMod\s*\(')),
     ("InvMod", re.compile(r'\bInvMod\s*\(')),
@@ -204,14 +211,20 @@ LIBCALL_RES = [
 ]
 
 # Non-CT forms banned inside tm-ct-ladder bodies (unqualified forms
-# included: the ladder lives next to them in secp256k1.cc).
+# included: the kernels live next to them in secp256k1.cc).
 LADDER_BANNED = [
     (".Bit() scalar bit extraction", re.compile(r'\.\s*Bit\s*\(')),
     ("non-CT multiply", re.compile(
         r'\bSecp256k1::Mul(?:Base)?\s*\(|(?<![:\w.])Mul(?:Base)?\s*\(|'
-        r'\bJacobianMul\s*\(')),
+        r'\bJacobianMul\s*\(|\bWnafMul\s*\(')),
 ]
 LADDER_FLOW_RE = re.compile(r'\b(?:if|while|for|switch)\s*\(|\?')
+# The counter a classic `for` declares or assigns in its init clause.
+FOR_COUNTER_RE = re.compile(
+    r'\bfor\s*\(\s*(?:[\w:<>]+\s+)*([A-Za-z_]\w*)\s*=')
+# Constants by naming convention: kName or ALL_CAPS.
+CONSTANT_NAME_RE = re.compile(r'^(?:k[A-Z]\w*|[A-Z][A-Z0-9_]*)$')
+NUMBER_RE = re.compile(r"\b\d[\w']*")
 
 
 def strip_comments(lines: list[str]) -> list[str]:
@@ -271,6 +284,32 @@ def balanced_args(text: str, open_idx: int) -> str | None:
             if depth == 0:
                 return text[open_idx + 1:i]
     return None
+
+
+def subscripts(text: str) -> list[str]:
+    """Contents of every top-level-or-nested `[...]` pair in `text`."""
+    found, stack = [], []
+    for i, ch in enumerate(text):
+        if ch == "[":
+            stack.append(i)
+        elif ch == "]" and stack:
+            start = stack.pop()
+            found.append(text[start + 1:i])
+    return found
+
+
+def ladder_subscript_ok(expr: str, counters: set[str]) -> bool:
+    """True when a subscript reads only loop counters and constants.
+
+    A nested subscript (`table[digits[i]]`) indexes memory by a loaded
+    value and never qualifies, whatever names it reads.
+    """
+    if "[" in expr:
+        return False
+    for tok in IDENT_RE.findall(NUMBER_RE.sub(" ", expr)):
+        if tok not in counters and not CONSTANT_NAME_RE.match(tok):
+            return False
+    return True
 
 
 def first_ident(text: str) -> str | None:
@@ -696,6 +735,11 @@ def analyze_function(fn: FnDef, raw: list[str], ctx: Context,
         return expr_tainted(expr, tainted, ctx, pre_masked=pre_masked,
                             carriers=carriers)
 
+    ladder_counters = set()
+    if fn.is_ladder:
+        for _, text in fn.segments:
+            ladder_counters.update(FOR_COUNTER_RE.findall(text))
+
     for line, stmt in iter_statements(fn.segments):
         declassify, has_secret, ann_line = stmt_annotations(raw, line)
         decl = DECL_RE.match(stmt)
@@ -822,6 +866,14 @@ def analyze_function(fn: FnDef, raw: list[str], ctx: Context,
                        "why the trip count is public")
             elif LADDER_FLOW_RE.search(masked) and ann_line is not None:
                 ctx.used_annotations.add((fn.file, ann_line))
+            for expr in subscripts(stmt):
+                if not ladder_subscript_ok(expr, ladder_counters):
+                    report("ladder-hygiene", line,
+                           f"subscript [{expr.strip()}] inside a "
+                           f"tm-ct-ladder function is built from something "
+                           f"other than the body's for counters and "
+                           f"constants; scan every entry under a mask")
+                    break
 
         # Assignment: taint flows left, into the base variable of the
         # lvalue chain (`sig.responses[i] = ...` taints `sig`).

@@ -38,6 +38,15 @@ root and fail on regression. Dispatches on the fresh log's "bench" field:
     trend-watching but not gated — they measure the CI runner as much
     as the daemon.
 
+  crypto_kernels  (bench_ablation_lsag -> BENCH_crypto.json)
+    Each row times a production secp256k1 kernel (LSAG sign/verify,
+    keygen, MulCT, MulBaseCT, MulAdd, HashToPoint, FieldInv) against its
+    frozen textbook oracle in the same process, so the row's speedup is
+    machine-independent where its microseconds are not. Gate: every
+    baseline row must be present, keep a fresh speedup of at least 1.0x
+    (a kernel never slower than the code it replaced), and reach `factor`
+    of the baseline row's speedup. Microseconds are printed, not gated.
+
 Usage:  python3 tools/bench/check_bench_regression.py FRESH.json \
             [--baseline BENCH.json] [--factor 0.8]
 """
@@ -54,6 +63,7 @@ DEFAULT_BASELINES = {
     "context_throughput": REPO_ROOT / "BENCH_context.json",
     "chain_growth": REPO_ROOT / "BENCH_chain_growth.json",
     "serve": REPO_ROOT / "BENCH_serve.json",
+    "crypto_kernels": REPO_ROOT / "BENCH_crypto.json",
 }
 
 
@@ -189,6 +199,35 @@ def check_serve(baseline_data: dict, fresh_data: dict,
     return failures
 
 
+def check_crypto(baseline_data: dict, fresh_data: dict,
+                 factor: float) -> int:
+    fresh = {row["name"]: row for row in fresh_data["rows"]}
+    failures = 0
+    for base_row in baseline_data["rows"]:
+        name = base_row["name"]
+        row = fresh.get(name)
+        if row is None:
+            print(f"FAIL: fresh run is missing the {name} row",
+                  file=sys.stderr)
+            failures += 1
+            continue
+        base_speedup = base_row["speedup"]
+        speedup = row["speedup"]
+        ratio = speedup / base_speedup if base_speedup > 0 else 0.0
+        print(f"crypto {name:<16} new {row['new_us']:>10.1f} us, oracle "
+              f"{row['oracle_us']:>10.1f} us: {speedup:.2f}x (baseline "
+              f"{base_speedup:.2f}x, ratio {ratio:.2f})")
+        if speedup < 1.0:
+            print(f"FAIL: {name}: the kernel is slower than its frozen "
+                  f"oracle ({speedup:.2f}x)", file=sys.stderr)
+            failures += 1
+        elif ratio < factor:
+            print(f"FAIL: {name}: speedup regressed to {ratio:.2f} of the "
+                  f"baseline's (floor {factor})", file=sys.stderr)
+            failures += 1
+    return failures
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("fresh", type=pathlib.Path,
@@ -212,6 +251,8 @@ def main() -> int:
         failures = check_context(baseline, fresh, args.factor)
     elif kind == "chain_growth":
         failures = check_chain_growth(baseline, fresh, args.factor)
+    elif kind == "crypto_kernels":
+        failures = check_crypto(baseline, fresh, args.factor)
     else:
         failures = check_serve(baseline, fresh, args.factor)
 

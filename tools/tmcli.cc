@@ -198,7 +198,12 @@ int Select(const Args& args) {
   core::GameTheoreticSelector game;
   core::SmallestSelector smallest;
   core::RandomSelector random;
-  core::BfsSelector bfs;
+  // Exact BFS is O(n^n): bound it in time (--budget, Timeout) and in
+  // universe size (InvalidArgument), as the resilient ladder does.
+  core::BfsSelector::Options bfs_options;
+  bfs_options.budget_seconds = args.GetDouble("budget", 2.0);
+  bfs_options.max_universe = core::kBfsBoundedMaxUniverse;
+  core::BfsSelector bfs(bfs_options);
   const core::MixinSelector* selector = &progressive;
   if (algo == "TM_G") selector = &game;
   else if (algo == "TM_S") selector = &smallest;
