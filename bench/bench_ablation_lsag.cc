@@ -22,7 +22,6 @@
 #include "bench_common.h"
 #include "crypto/field.h"
 #include "crypto/lsag.h"
-#include "crypto/schnorr.h"
 #include "crypto/sha256.h"
 #include "reference/secp256k1_kernels.h"
 
@@ -80,17 +79,6 @@ void BM_ScalarMulBase(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScalarMulBase)->Unit(benchmark::kMicrosecond);
-
-void BM_SchnorrSignVerify(benchmark::State& state) {
-  common::Rng rng(11);
-  crypto::Keypair key = crypto::Keypair::Generate(&rng);
-  for (auto _ : state) {
-    auto sig = crypto::Schnorr::Sign(key, "m", &rng);
-    bool ok = crypto::Schnorr::Verify(key.pub, "m", sig);
-    benchmark::DoNotOptimize(ok);
-  }
-}
-BENCHMARK(BM_SchnorrSignVerify)->Unit(benchmark::kMicrosecond);
 
 void BM_Sha256Throughput(benchmark::State& state) {
   std::string payload(static_cast<size_t>(state.range(0)), 'x');
@@ -245,7 +233,7 @@ std::vector<KernelRow> RunKernelRows() {
         Point out = reference::LadderMul(a, g);
         benchmark::DoNotOptimize(&out);
       }));
-  // s·G + c·P (the L_i shape, Schnorr and range proofs too) and
+  // s·G + c·P (the L_i shape) and
   // s·Hp + c·I (the R_i shape: two variable points).
   rows.push_back(TimeRow(
       "mul_add_base",

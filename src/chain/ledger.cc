@@ -34,9 +34,6 @@ common::Result<RsId> Ledger::Propose(std::vector<TokenId> members,
   record.view.requirement = requirement;
   record.spent = spent;
 
-  for (TokenId t : record.view.members) {
-    neighbor_sets_[t].push_back(record.view.id);
-  }
   spent_tokens_.emplace(spent, record.view.id);
   records_.push_back(std::move(record));
   return records_.back().view.id;
@@ -58,9 +55,6 @@ common::Result<RsId> Ledger::ProposeBlind(std::vector<TokenId> members,
   record.view.requirement = requirement;
   record.spent = kInvalidToken;
 
-  for (TokenId t : record.view.members) {
-    neighbor_sets_[t].push_back(record.view.id);
-  }
   records_.push_back(std::move(record));
   return records_.back().view.id;
 }
@@ -80,12 +74,6 @@ std::vector<RsView> Ledger::Views() const {
 TokenId Ledger::GroundTruthSpent(RsId id) const {
   TM_CHECK(id < records_.size());
   return records_[id].spent;
-}
-
-const std::vector<RsId>& Ledger::NeighborSet(TokenId token) const {
-  static const std::vector<RsId> kEmpty;
-  auto it = neighbor_sets_.find(token);
-  return it == neighbor_sets_.end() ? kEmpty : it->second;
 }
 
 }  // namespace tokenmagic::chain

@@ -2,8 +2,9 @@
 //
 // The Ledger owns RsRecords (member set + hidden ground-truth spend) and
 // exposes only RsViews to analysis/selection code. It also enforces the
-// UTXO invariant — a token's ground-truth spend happens at most once — and
-// indexes token -> containing RSs (the "neighbor sets" of Section 4).
+// UTXO invariant — a token's ground-truth spend happens at most once. The
+// token -> containing RSs index (the "neighbor sets" of Section 4) lives in
+// the analysis layer (AnalysisContext::RsOfToken on an EpochChain view).
 #pragma once
 
 #include <optional>
@@ -43,16 +44,11 @@ class Ledger {
   /// Monotone logical clock; the timestamp the next RS will receive.
   Timestamp now() const { return static_cast<Timestamp>(records_.size()); }
 
-  /// Ids of RSs containing `token`, in proposal order (the token's neighbor
-  /// set ns_j from Section 4).
-  const std::vector<RsId>& NeighborSet(TokenId token) const;
-
   /// True when some RS's ground truth spends `token`.
   bool IsSpent(TokenId token) const { return spent_tokens_.count(token) > 0; }
 
  private:
   std::vector<RsRecord> records_;
-  std::unordered_map<TokenId, std::vector<RsId>> neighbor_sets_;
   std::unordered_map<TokenId, RsId> spent_tokens_;
 };
 

@@ -24,6 +24,10 @@ inline constexpr TokenId kInvalidToken =
 inline constexpr RsId kInvalidRs = std::numeric_limits<RsId>::max();
 inline constexpr TxId kInvalidTx = std::numeric_limits<TxId>::max();
 
+/// Largest ℓ a requirement may declare: far above any ring size, and small
+/// enough that the strict-DTRS form (c, ℓ + 1) cannot overflow an int.
+inline constexpr int kMaxDiversityEll = 1 << 16;
+
 /// A declared recursive (c, ℓ)-diversity requirement (Definition 4).
 struct DiversityRequirement {
   double c = 1.0;  ///< the multiplier; larger is laxer
@@ -31,6 +35,12 @@ struct DiversityRequirement {
 
   bool operator==(const DiversityRequirement&) const = default;
   std::string ToString() const;
+
+  /// True when every layer can interpret the pair: c finite and >= 0, and
+  /// 0 <= ℓ <= kMaxDiversityEll. Every decoder of an untrusted requirement
+  /// checks this and answers a typed error; past it, a bad pair would trip
+  /// the exact-arithmetic checks in analysis/diversity.cc.
+  bool IsValid() const;
 };
 
 /// An unspent transaction output.

@@ -541,9 +541,9 @@ bool Point::operator==(const Point& other) const {
 std::array<uint8_t, 33> Point::Encode() const {
   std::array<uint8_t, 33> out{};
   if (infinity) return out;  // all-zero marker
-  // Branch-free prefix: 0x02 | parity. Stealth derivation encodes the
-  // (secret) ECDH shared point straight into a hash, so the y-parity must
-  // not steer a conditional.
+  // Branch-free prefix: 0x02 | parity. LSAG's ChainChallenge hashes the
+  // signer's nonce commitments L = u*G and R = u*Hp(P), points derived from
+  // the secret nonce u, so the y-parity must not steer a conditional.
   out[0] = static_cast<uint8_t>(0x02 | (y.limbs[0] & 1));
   auto xb = x.ToBytes();
   std::memcpy(out.data() + 1, xb.data(), 32);

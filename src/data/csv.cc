@@ -130,6 +130,11 @@ common::Result<Dataset> DatasetFromCsv(const std::string& tokens_csv,
       view.id = static_cast<chain::RsId>(id);
       view.proposed_at = static_cast<chain::Timestamp>(at);
       view.requirement = {c, static_cast<int>(ell)};
+      if (view.requirement.ell != ell || !view.requirement.IsValid()) {
+        return Status::IoError(common::StrFormat(
+            "rings.csv line %zu: invalid requirement (c=%g, ell=%lld)",
+            i + 1, c, static_cast<long long>(ell)));
+      }
       for (const std::string& member : common::Split(fields[4], ';')) {
         if (member.empty()) continue;
         int64_t token = 0;
@@ -144,7 +149,17 @@ common::Result<Dataset> DatasetFromCsv(const std::string& tokens_csv,
         }
         view.members.push_back(it->second);
       }
+      // The ledger's invariants: a ring is a non-empty set of tokens.
+      if (view.members.empty()) {
+        return Status::IoError(
+            common::StrFormat("rings.csv line %zu: empty ring", i + 1));
+      }
       std::sort(view.members.begin(), view.members.end());
+      if (std::adjacent_find(view.members.begin(), view.members.end()) !=
+          view.members.end()) {
+        return Status::IoError(common::StrFormat(
+            "rings.csv line %zu: duplicate ring member", i + 1));
+      }
       ds.history.push_back(std::move(view));
     }
   }

@@ -264,6 +264,10 @@ common::Result<std::unique_ptr<Node>> NodeFromSnapshot(
           !common::ParseInt64(fields[3], &ell)) {
         return Status::IoError("bad rs scalars");
       }
+      chain::DiversityRequirement requirement{c, static_cast<int>(ell)};
+      if (requirement.ell != ell || !requirement.IsValid()) {
+        return Status::IoError("bad rs requirement");
+      }
       std::vector<chain::TokenId> members;
       for (const std::string& m : common::Split(fields[4], ';')) {
         if (m.empty()) continue;
@@ -273,8 +277,7 @@ common::Result<std::unique_ptr<Node>> NodeFromSnapshot(
         }
         members.push_back(static_cast<chain::TokenId>(token));
       }
-      auto rs = node->ledger_.ProposeBlind(
-          members, chain::DiversityRequirement{c, static_cast<int>(ell)});
+      auto rs = node->ledger_.ProposeBlind(members, requirement);
       if (!rs.ok()) return rs.status();
     } else if (kind == "key") {
       close_block();

@@ -90,6 +90,13 @@ common::Status Verifier::VerifyInput(const SignedTransaction& tx,
   if (!SortedUniqueAscending(ring)) {
     return Status::VerificationFailed("ring is not sorted-unique");
   }
+  // The requirement is not covered by the signature, so it is untrusted
+  // input: a NaN c or an ℓ near INT_MAX must be refused, not checked.
+  if (!input.requirement.IsValid()) {
+    return Status::VerificationFailed(common::StrFormat(
+        "declared requirement %s is not a valid (c, ℓ) pair",
+        input.requirement.ToString().c_str()));
+  }
 
   // 1. Tokens exist and share one batch.
   for (chain::TokenId t : ring) {
@@ -151,7 +158,9 @@ common::Status Verifier::VerifyInput(const SignedTransaction& tx,
   // 5. Declared diversity (at ℓ+1 under the second configuration).
   chain::DiversityRequirement effective = input.requirement;
   if (policy_.enforce_strict_dtrs) effective.ell += 1;
-  if (!analysis::SatisfiesRecursiveDiversity(ring, *index_, effective)) {
+  // ℓ = 0 names no diversity level outside the strict form.
+  if (effective.ell < 1 ||
+      !analysis::SatisfiesRecursiveDiversity(ring, *index_, effective)) {
     return Status::VerificationFailed(common::StrFormat(
         "ring violates its declared %s%s", effective.ToString().c_str(),
         policy_.enforce_strict_dtrs ? " (strict-DTRS form)" : ""));

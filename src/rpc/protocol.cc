@@ -254,8 +254,7 @@ common::Status DecodeRequest(std::string_view payload, Request* out) {
   if (out->op == Op::kSelect) {
     // Reject requirements no selector can interpret before they reach the
     // worker pool (NaN c would poison every eligibility comparison).
-    if (!(out->requirement.c >= 0.0) || out->requirement.ell < 0 ||
-        out->requirement.ell > static_cast<int>(kMaxMembers)) {
+    if (!out->requirement.IsValid()) {
       return Status::InvalidArgument("unintelligible diversity requirement");
     }
   }

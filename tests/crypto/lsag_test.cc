@@ -163,6 +163,16 @@ TEST(LsagTest, VerifyRejectsMalformedStructures) {
   EXPECT_FALSE(Lsag::Verify(bad, "m"));
 }
 
+TEST(KeypairTest, GenerateProducesValidKeys) {
+  common::Rng rng(9);
+  for (int i = 0; i < 10; ++i) {
+    Keypair key = Keypair::Generate(&rng);
+    EXPECT_TRUE(IsValidScalar(key.secret));
+    EXPECT_TRUE(Secp256k1::IsOnCurve(key.pub));
+    EXPECT_EQ(key.pub, Secp256k1::MulBase(key.secret));
+  }
+}
+
 TEST(KeyImageRegistryTest, DetectsDoubleSpend) {
   RingFixture fx(3);
   common::Rng rng(14);

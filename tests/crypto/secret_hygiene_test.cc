@@ -67,7 +67,10 @@ TEST(KeypairHygieneTest, CopiesWipeIndependently) {
 TEST(ConstantTimeMulTest, MatchesVariableTimePath) {
   common::Rng rng(31337);
   const Point& g = Secp256k1::Generator();
-  Point p = Secp256k1::MulBase(HashToScalar("ct-test-point"));
+  // A fixed public point; its scalar is the leading hex digits of π.
+  const U256 point_scalar(0x243f6a8885a308d3ull, 0x13198a2e03707344ull,
+                          0xa4093822299f31d0ull, 0x082efa98ec4e6c89ull);
+  Point p = Secp256k1::MulBase(point_scalar);
 
   std::vector<U256> scalars = {
       U256::Zero(), U256::One(), U256(2), U256(3), U256(255),

@@ -225,6 +225,20 @@ TEST(CsvTest, MalformedInputRejected) {
     EXPECT_NE(ds.status().message().find("line 3"), std::string::npos)
         << ds.status().message();
   }
+  // Rings the ledger would refuse: a repeated member, no members, and a
+  // requirement outside DiversityRequirement::IsValid.
+  for (const char* rings : {"rs_id,proposed_at,c,ell,members\n"
+                            "0,0,1.0,1,1;1;2\n",
+                            "rs_id,proposed_at,c,ell,members\n"
+                            "0,0,1.0,1,\n",
+                            "rs_id,proposed_at,c,ell,members\n"
+                            "0,0,nan,-5,1;2\n"}) {
+    auto ds = DatasetFromCsv("token_id,ht_id\n1,1\n2,2\n", rings);
+    ASSERT_FALSE(ds.ok()) << rings;
+    EXPECT_EQ(ds.status().code(), common::StatusCode::kIoError);
+    EXPECT_NE(ds.status().message().find("line 2"), std::string::npos)
+        << ds.status().message();
+  }
 }
 
 TEST(CsvTest, LoadMissingDirectoryFails) {

@@ -141,6 +141,28 @@ TEST(SnapshotTest, RejectsCorruptedInput) {
   // tx record with no open block.
   std::string header_only = "tokenmagic-snapshot v1\ntx,0,1\n";
   EXPECT_FALSE(NodeFromSnapshot(header_only, {}).ok());
+  // An rs record whose (c, ℓ) fails DiversityRequirement::IsValid is
+  // refused as it is parsed, before the section checksum is reached.
+  size_t begin = snapshot.find("\nrs,") + 1;
+  ASSERT_NE(begin, 0u);
+  size_t end = snapshot.find('\n', begin);
+  std::vector<std::string> fields =
+      common::Split(snapshot.substr(begin, end - begin), ',');
+  ASSERT_EQ(fields.size(), 5u);
+  for (auto [c, ell] : {std::pair<const char*, const char*>{"nan", "3"},
+                        {"2", "-5"},
+                        {"2", "4294967297"}}) {
+    fields[2] = c;
+    fields[3] = ell;
+    auto restored = NodeFromSnapshot(snapshot.substr(0, begin) +
+                                         common::Join(fields, ",") +
+                                         snapshot.substr(end),
+                                     {});
+    ASSERT_FALSE(restored.ok()) << c << "," << ell;
+    EXPECT_NE(restored.status().message().find("requirement"),
+              std::string::npos)
+        << restored.status().message();
+  }
 }
 
 TEST(SnapshotTest, EmptyNodeRoundTrips) {

@@ -1,5 +1,8 @@
 #include "node/verifier.h"
 
+#include <climits>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "core/progressive.h"
@@ -78,6 +81,30 @@ TEST(VerifierTest, RejectsRingBelowSizeFloor) {
   VerifierFixture fx(policy);
   EXPECT_TRUE(
       fx.node.MakeVerifier().Verify(fx.valid_tx).IsVerificationFailed());
+}
+
+TEST(VerifierTest, RejectsUninterpretableRequirement) {
+  // SigningMessage does not cover the declared requirement, so a relay can
+  // rewrite it after signing: each rewrite must be a VerificationFailed
+  // verdict, not a TM_CHECK abort in the diversity check.
+  VerifierFixture fx;
+  for (chain::DiversityRequirement req :
+       {chain::DiversityRequirement{std::numeric_limits<double>::quiet_NaN(),
+                                    3},
+        chain::DiversityRequirement{2.0, INT_MAX}}) {
+    SignedTransaction bad = fx.valid_tx;
+    bad.inputs[0].requirement = req;
+    EXPECT_TRUE(fx.node.MakeVerifier().Verify(bad).IsVerificationFailed())
+        << req.ToString();
+  }
+  // ℓ = 0 is valid input but names no level outside the strict form.
+  VerifierPolicy lax;
+  lax.enforce_strict_dtrs = false;
+  VerifierFixture lax_fx(lax);
+  SignedTransaction zero = lax_fx.valid_tx;
+  zero.inputs[0].requirement.ell = 0;
+  EXPECT_TRUE(
+      lax_fx.node.MakeVerifier().Verify(zero).IsVerificationFailed());
 }
 
 TEST(VerifierTest, PolicyTogglesStrictDtrs) {

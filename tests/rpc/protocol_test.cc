@@ -145,6 +145,10 @@ TEST(ProtocolTest, DecodeRequestRejectsUnknownOpAndBadRequirement) {
   EXPECT_TRUE(
       DecodeRequest(EncodeRequest(request), &decoded).IsInvalidArgument());
 
+  request.requirement.c = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(
+      DecodeRequest(EncodeRequest(request), &decoded).IsInvalidArgument());
+
   request.requirement.c = 2.0;
   request.requirement.ell = -1;
   EXPECT_TRUE(

@@ -32,3 +32,16 @@ if(NOT err MATCHES "(Timeout|InvalidArgument)")
   message(FATAL_ERROR "tmcli select --algo TM_B: expected Timeout or "
                       "InvalidArgument, got code '${code}': ${err}")
 endif()
+
+# A (c, ℓ) pair outside DiversityRequirement::IsValid is refused at flag
+# parsing with a typed InvalidArgument, never a TM_CHECK abort.
+foreach(args
+    "select;--data;${WORKDIR}/data;--target;5;--c;inf"
+    "simulate;--rounds;1;--wallets;2;--c;nan")
+  execute_process(COMMAND ${TMCLI} ${args}
+    RESULT_VARIABLE code ERROR_VARIABLE err TIMEOUT 30)
+  if(code EQUAL 0 OR NOT err MATCHES "InvalidArgument")
+    message(FATAL_ERROR "tmcli ${args}: expected an InvalidArgument "
+                        "failure, got code '${code}': ${err}")
+  endif()
+endforeach()

@@ -977,10 +977,16 @@ def collect_secret_members(files: dict[str, list[str]],
 def check_self_wiping_types(files: dict[str, list[str]],
                             code: dict[str, list[str]]
                             ) -> list[sarif.Finding]:
-    """Each SELF_WIPING type must have a destructor that wipes."""
+    """Each SELF_WIPING type the tree defines must have a destructor that
+    wipes. A carrier type the tree does not define carries no secret."""
     findings = []
     for type_name in SELF_WIPING_TYPES:
+        decl_re = re.compile(r'\b(?:struct|class)\s+' + type_name +
+                             r'\b[^;]*$')
         dtor_re = re.compile(r'~' + type_name + r'\s*\(\s*\)')
+        if not any(decl_re.search(line) for clines in code.values()
+                   for line in clines):
+            continue
         ok = False
         where = None
         for path, clines in sorted(code.items()):

@@ -75,6 +75,21 @@ class Args {
   std::map<std::string, std::string> values_;
 };
 
+/// Reads --c/--ell over `fallback`. A pair that fails
+/// DiversityRequirement::IsValid is an InvalidArgument, not an abort.
+common::Result<chain::DiversityRequirement> RequirementFlags(
+    const Args& args, chain::DiversityRequirement fallback) {
+  int64_t ell = args.GetInt("ell", fallback.ell);
+  chain::DiversityRequirement req{args.GetDouble("c", fallback.c),
+                                  static_cast<int>(ell)};
+  if (req.ell != ell || !req.IsValid()) {
+    return common::Status::InvalidArgument(common::StrFormat(
+        "--c %g --ell %lld: c must be finite and >= 0, ell in [0, %d]",
+        req.c, static_cast<long long>(ell), chain::kMaxDiversityEll));
+  }
+  return req;
+}
+
 int Usage() {
   std::fprintf(
       stderr,
@@ -160,13 +175,18 @@ int Select(const Args& args) {
     return 1;
   }
   if (!args.Has("target")) return Usage();
+  auto requirement = RequirementFlags(args, {0.6, 30});
+  if (!requirement.ok()) {
+    std::fprintf(stderr, "select failed: %s\n",
+                 requirement.status().ToString().c_str());
+    return 1;
+  }
 
   core::SelectionInput input;
   input.target = static_cast<chain::TokenId>(args.GetInt("target", 0));
   input.universe = ds->universe;
   input.history = ds->history;
-  input.requirement = {args.GetDouble("c", 0.6),
-                       static_cast<int>(args.GetInt("ell", 30))};
+  input.requirement = *requirement;
   input.index = &ds->index;
   core::InternInstance(&input);
 
@@ -229,14 +249,19 @@ int Select(const Args& args) {
 }
 
 int Simulate(const Args& args) {
+  auto requirement = RequirementFlags(args, {2.0, 3});
+  if (!requirement.ok()) {
+    std::fprintf(stderr, "simulate failed: %s\n",
+                 requirement.status().ToString().c_str());
+    return 1;
+  }
   sim::SimulationConfig config;
   config.num_wallets = static_cast<size_t>(args.GetInt("wallets", 4));
   config.tokens_per_wallet =
       static_cast<size_t>(args.GetInt("tokens", 8));
   config.cluster_size = static_cast<size_t>(args.GetInt("cluster", 2));
   config.rounds = static_cast<size_t>(args.GetInt("rounds", 4));
-  config.requirement = {args.GetDouble("c", 2.0),
-                        static_cast<int>(args.GetInt("ell", 3))};
+  config.requirement = *requirement;
   config.seed = static_cast<uint64_t>(args.GetInt("seed", 7));
 
   std::string algo = args.Get("algo", "TM_P");
