@@ -33,11 +33,16 @@ if(NOT err MATCHES "(Timeout|InvalidArgument)")
                       "InvalidArgument, got code '${code}': ${err}")
 endif()
 
-# A (c, ℓ) pair outside DiversityRequirement::IsValid is refused at flag
-# parsing with a typed InvalidArgument, never a TM_CHECK abort.
+# A (c, ℓ) pair outside DiversityRequirement::IsValid, a value that does
+# not parse, a negative size and a flag without a value are refused at
+# flag parsing with a typed InvalidArgument: never a TM_CHECK abort, a
+# silent default, or a size_t wrapped to ~2^64.
 foreach(args
     "select;--data;${WORKDIR}/data;--target;5;--c;inf"
-    "simulate;--rounds;1;--wallets;2;--c;nan")
+    "simulate;--rounds;1;--wallets;2;--c;nan"
+    "select;--data;${WORKDIR}/data;--target;5;--ell;abc"
+    "simulate;--rounds;1;--wallets;-1"
+    "stats;--data;${WORKDIR}/data;--seed")
   execute_process(COMMAND ${TMCLI} ${args}
     RESULT_VARIABLE code ERROR_VARIABLE err TIMEOUT 30)
   if(code EQUAL 0 OR NOT err MATCHES "InvalidArgument")

@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
 """Fixture corpus for the static-analysis tools (ctest: tooling_fixtures).
 
-Each tool gets a `bad` tree (one minimal TU per check, every rule fires at
-a pinned file:line) and a `good` tree (the same shapes with valid
-annotations, zero findings). This is what keeps the analyzers honest in
-both directions: a regression that stops a rule from firing breaks the
-`bad` expectations, and one that over-fires breaks the `good` trees.
+Each of the four tools (tm_lint, tm_analyze, tm_ct, tm_sync) gets a `bad`
+tree (one minimal TU per check, every rule fires at a pinned file:line)
+and a `good` tree (the same shapes with valid annotations, zero findings).
+This is what keeps the analyzers honest in both directions: a regression
+that stops a rule from firing breaks the `bad` expectations, and one that
+over-fires breaks the `good` trees. The `bad` expectations are the full
+rendered findings (`file:line: [rule] message`), compared as multisets, so
+a changed message or a duplicated finding fails too.
 
-Also validates the --sarif output of both tools against the shape GitHub
-code scanning requires (version, rules, physical locations).
+Also validates the --sarif output of all four tools against the shape
+GitHub code scanning requires (version, rules, physical locations).
 """
 
 from __future__ import annotations
 
+import collections
 import json
 import pathlib
 import re
@@ -48,25 +52,15 @@ def run_tool(tool: str, tree: pathlib.Path, sarif: pathlib.Path | None = None):
     return subprocess.run(cmd, capture_output=True, text=True)
 
 
-def parse_findings(stderr: str) -> set[tuple[str, int, str]]:
-    found = set()
-    for line in stderr.splitlines():
-        m = FINDING_RE.match(line)
-        if m:
-            found.add((m.group(1), int(m.group(2)), m.group(3)))
-    return found
+def parse_findings(stderr: str) -> collections.Counter[str]:
+    return collections.Counter(
+        line for line in stderr.splitlines() if FINDING_RE.match(line))
 
 
-def load_expected(path: pathlib.Path) -> set[tuple[str, int, str]]:
-    expected = set()
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        loc, rule = line.split()
-        file, line_no = loc.rsplit(":", 1)
-        expected.add((file, int(line_no), rule))
-    return expected
+def load_expected(path: pathlib.Path) -> collections.Counter[str]:
+    return collections.Counter(
+        line for line in path.read_text().splitlines()
+        if line.strip() and not line.startswith("#"))
 
 
 def check_bad(tool: str) -> None:
@@ -80,13 +74,11 @@ def check_bad(tool: str) -> None:
             return
         found = parse_findings(proc.stderr)
         expected = load_expected(tree / "expected.txt")
-        for missing in sorted(expected - found):
-            fail(f"{tool}/bad: expected finding did not fire: "
-                 f"{missing[0]}:{missing[1]} [{missing[2]}]")
-        for extra in sorted(found - expected):
-            fail(f"{tool}/bad: unexpected finding: "
-                 f"{extra[0]}:{extra[1]} [{extra[2]}]")
-        check_sarif(tool, sarif_path, len(found))
+        for missing in sorted((expected - found).elements()):
+            fail(f"{tool}/bad: expected finding did not fire: {missing}")
+        for extra in sorted((found - expected).elements()):
+            fail(f"{tool}/bad: unexpected finding: {extra}")
+        check_sarif(tool, sarif_path, sum(found.values()))
 
 
 def check_sarif(tool: str, path: pathlib.Path, n_findings: int) -> None:
@@ -121,9 +113,10 @@ def check_good(tool: str) -> None:
 
 
 def check_real_tree() -> None:
-    """The actual src/ must be clean under both tools — the same gate the
-    `lint` and `analyze` ctest targets enforce, repeated here so a fixture
-    run alone proves the annotations in the repo are complete."""
+    """The actual src/ must be clean under all four tools — the same gate
+    the `lint`, `analyze`, `ct_analyze` and `sync_analyze` ctest targets
+    enforce, repeated here so a fixture run alone proves the annotations
+    in the repo are complete."""
     for tool in TOOLS:
         proc = run_tool(tool, ROOT)
         if proc.returncode != 0:

@@ -13,24 +13,25 @@ exit fails the build.
 
 Frontends
 ---------
-Two interchangeable frontends discover the same fact set (view-typed
-members, ref-capturing escaping lambdas, view-returning functions and
-their owning locals):
+The lexer, file loading, libclang loading and the CLI come from the shared
+analyzer frontend (tools/analyze/frontend.py). Two passes discover the
+same fact set (view-typed members, ref-capturing escaping lambdas,
+view-returning functions and their owning locals):
 
-  * clang   — libclang over compile_commands.json (--build-dir). The AST
-              gives exact member types, lambda capture lists, and return
-              statements. Used in CI, where clang + python3-clang are
-              installed.
+  * clang   — an AST walk over the translation units of
+              compile_commands.json (--build-dir). The AST gives exact
+              member types, lambda capture lists, and return statements.
+              Used in CI, where clang + python3-clang are installed.
   * lexical — a self-contained scope tracker (brace depth + class stack)
-              with type regexes. No dependencies beyond the stdlib, so the
-              gate runs on any dev box; it is deliberately conservative
-              and tuned to this codebase's style (one decl per line).
+              with type regexes over the stripped lines. It always runs
+              (under clang too, so headers no TU includes stay audited);
+              it is deliberately conservative and tuned to this
+              codebase's style (one decl per line).
 
---frontend auto (the default) uses clang when the bindings and a
-compilation database are available, else falls back to lexical. Both
-frontends feed the same rule evaluation and annotation registry, so the
-set of *required annotations* is identical; the clang frontend can only
-see strictly more sites.
+--frontend auto (the default) adds the clang pass when the bindings and a
+compilation database are available. Both passes feed the same rule
+evaluation and annotation registry, so the set of *required annotations*
+is identical; the clang pass can only see strictly more sites.
 
 The view-lifetime model
 -----------------------
@@ -71,16 +72,13 @@ Rules (stable ids, also the SARIF rule ids):
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import json
-import pathlib
 import re
 import sys
 
-sys.path.insert(
-    0, str(pathlib.Path(__file__).resolve().parents[1] / "lint"))
-import sarif  # noqa: E402  (tools/lint/sarif.py)
+import frontend
+import sarif  # tools/lint/sarif.py, on sys.path through frontend
+from frontend import relative, translation_units
 
 TOOL_VERSION = "1.0"
 
@@ -183,34 +181,6 @@ class Registry:
                 if inv.target == target}
 
 
-def strip_comments(lines: list[str]) -> list[str]:
-    """Per-line copy with comment text blanked (string-literal naive)."""
-    out = []
-    in_block = False
-    for line in lines:
-        result = []
-        i = 0
-        while i < len(line):
-            if in_block:
-                end = line.find("*/", i)
-                if end == -1:
-                    i = len(line)
-                else:
-                    in_block = False
-                    i = end + 2
-                continue
-            if line.startswith("//", i):
-                break
-            if line.startswith("/*", i):
-                in_block = True
-                i += 2
-                continue
-            result.append(line[i])
-            i += 1
-        out.append("".join(result))
-    return out
-
-
 class ScopeTracker:
     """Brace-depth tracker with a (kind, name, depth) scope stack.
 
@@ -255,10 +225,6 @@ class ScopeTracker:
             i += 1
 
 
-def rel(path: pathlib.Path, root: pathlib.Path) -> str:
-    return path.relative_to(root).as_posix()
-
-
 def join_stmt(code: list[str], i: int, limit: int = 5) -> tuple[str, int]:
     """Joins code lines starting at index `i` until one carries a ';' or
     '{' (a declaration can wrap; TM_* attribute macros are stripped from
@@ -271,12 +237,6 @@ def join_stmt(code: list[str], i: int, limit: int = 5) -> tuple[str, int]:
         if ";" in code[j] or "{" in code[j]:
             break
     return TM_MACRO_RE.sub("", " ".join(parts)).strip(), last
-
-
-def iter_source_files(src: pathlib.Path):
-    for path in sorted(src.rglob("*")):
-        if path.suffix in (".h", ".cc"):
-            yield path
 
 
 def has_annotation(raw: list[str], line_no: int) -> tuple[bool, str | None]:
@@ -296,12 +256,10 @@ def has_annotation(raw: list[str], line_no: int) -> tuple[bool, str | None]:
 # -- pass 1: annotation registry --------------------------------------------
 
 
-def build_registry(files: list[pathlib.Path], root: pathlib.Path,
-                   contents: dict[pathlib.Path, list[str]]) -> Registry:
+def build_registry(src: frontend.Sources) -> Registry:
     reg = Registry()
-    for path in files:
-        raw = contents[path]
-        code = strip_comments(raw)
+    for path, raw in src.files.items():
+        code = src.code[path]
         scope = ScopeTracker()
         current_def: tuple[str, str] | None = None
         pending: list[tuple[str, str, int]] = []  # (kind, payload, line)
@@ -323,15 +281,12 @@ def build_registry(files: list[pathlib.Path], root: pathlib.Path,
                     OWNS_RE.search(raw_line) or BORROWS_RE.search(raw_line)
                     or INVALIDATES_RE.search(raw_line)):
                 reg.grammar_errors.append(sarif.Finding(
-                    rel(path, root), line_no, "annotation-grammar",
+                    path, line_no, "annotation-grammar",
                     "unparsable tm- annotation; grammar: 'tm-owns: <what>', "
                     "'tm-borrows(<owner>): <why>', "
                     "'tm-invalidates(<Type::member>): <why>'"))
 
-            stripped = code_line.strip()
-            is_code = bool(stripped) and not stripped.startswith("#")
-            if not is_code:
-                scope.feed(code_line)
+            if not code_line.strip():
                 continue
 
             if pending:
@@ -343,14 +298,14 @@ def build_registry(files: list[pathlib.Path], root: pathlib.Path,
                         if def_m is not None:
                             reg.invalidators.append(Invalidator(
                                 def_m.group(1), def_m.group(2),
-                                payload.strip(), rel(path, root), ann_line))
+                                payload.strip(), path, ann_line))
                         elif cls and name_m and "(" in stmt:
                             reg.invalidators.append(Invalidator(
                                 cls, name_m.group(1), payload.strip(),
-                                rel(path, root), ann_line))
+                                path, ann_line))
                         else:
                             reg.grammar_errors.append(sarif.Finding(
-                                rel(path, root), ann_line,
+                                path, ann_line,
                                 "annotation-grammar",
                                 "tm-invalidates must annotate a method "
                                 "declaration or definition"))
@@ -361,7 +316,7 @@ def build_registry(files: list[pathlib.Path], root: pathlib.Path,
                             key = f"{cls}::{name_m.group(1)}"
                             member = reg.members.setdefault(
                                 key, Member(cls, name_m.group(1),
-                                            rel(path, root), line_no))
+                                            path, line_no))
                             if kind == "owns":
                                 member.owns = True
                                 reg.owns.add(key)
@@ -378,14 +333,11 @@ def build_registry(files: list[pathlib.Path], root: pathlib.Path,
 # -- pass 2: lexical frontend ------------------------------------------------
 
 
-def lexical_frontend(files: list[pathlib.Path], root: pathlib.Path,
-                     contents: dict[pathlib.Path, list[str]],
+def lexical_frontend(src: frontend.Sources,
                      findings: list[sarif.Finding]) -> None:
-    src = root / "src"
-    for path in files:
-        raw = contents[path]
-        code = strip_comments(raw)
-        module = path.relative_to(src).parts[0]
+    for path, raw in src.files.items():
+        code = src.code[path]
+        module = path.split("/")[1]
         audited = module in AUDITED_DIRS
         scope = ScopeTracker()
         # view-return bookkeeping: (returns_view, {owning locals}, depth)
@@ -400,8 +352,7 @@ def lexical_frontend(files: list[pathlib.Path], root: pathlib.Path,
             in_class = (scope.enclosing_class() is not None
                         and not scope.in_function())
             if (in_class and stripped and paren_bal == 0
-                    and i > member_done
-                    and not stripped.startswith("#")):
+                    and i > member_done):
                 stmt, last = join_stmt(code, i)
                 if ("(" not in stmt and MEMBER_NAME_RE.search(stmt)):
                     member_done = last
@@ -414,7 +365,7 @@ def lexical_frontend(files: list[pathlib.Path], root: pathlib.Path,
                             what = ("view-typed member" if is_view else
                                     "owning RsView history member")
                             findings.append(sarif.Finding(
-                                rel(path, root), line_no, "view-member",
+                                path, line_no, "view-member",
                                 f"{what} "
                                 f"'{MEMBER_NAME_RE.search(stmt).group(1)}' "
                                 "has no lifetime annotation; add "
@@ -437,7 +388,7 @@ def lexical_frontend(files: list[pathlib.Path], root: pathlib.Path,
                     how = ("returned" if ret_lambda
                            else "stored in a std::function")
                     findings.append(sarif.Finding(
-                        rel(path, root), line_no, "lambda-escape",
+                        path, line_no, "lambda-escape",
                         f"by-reference-capturing lambda is {how}: its "
                         "captures die with the enclosing frame; capture by "
                         "value, or annotate an audited lifetime with "
@@ -457,7 +408,7 @@ def lexical_frontend(files: list[pathlib.Path], root: pathlib.Path,
                     annotated, _ = has_annotation(raw, line_no)
                     if not annotated:
                         findings.append(sarif.Finding(
-                            rel(path, root), line_no, "view-return",
+                            path, line_no, "view-return",
                             f"returning a view into local "
                             f"'{ret_m.group(1)}', which is destroyed when "
                             "this function returns; return the owning "
@@ -470,24 +421,6 @@ def lexical_frontend(files: list[pathlib.Path], root: pathlib.Path,
 
 
 # -- pass 2 (alternative): libclang frontend ---------------------------------
-
-
-def clang_available(build_dir: pathlib.Path | None):
-    try:
-        from clang import cindex  # noqa: F401
-    except ImportError:
-        return None, "python clang bindings not importable"
-    if build_dir is None:
-        return None, "--build-dir with compile_commands.json required"
-    if not (build_dir / "compile_commands.json").exists():
-        return None, f"no compile_commands.json in {build_dir}"
-    try:
-        from clang.cindex import Index
-        Index.create()
-    except Exception as e:  # libclang.so missing/mismatched
-        return None, f"libclang unusable: {e}"
-    from clang import cindex
-    return cindex, None
 
 
 VIEW_TYPE_SPELLINGS = ("std::span<", "span<", "std::string_view",
@@ -504,42 +437,35 @@ def clang_is_view_type(type_obj) -> bool:
     return False
 
 
-def clang_frontend(cindex, files, root, contents, build_dir,
-                   findings) -> None:
+def clang_frontend(src: frontend.Sources,
+                   findings: list[sarif.Finding]) -> None:
     """AST-exact version of the lexical frontend. Feeds the same rules, so
     annotations are looked up in the raw text around the cursor location."""
-    from clang.cindex import CursorKind, CompilationDatabase
-    db = CompilationDatabase.fromDirectory(str(build_dir))
-    index = cindex.Index.create()
-    src = root / "src"
-    wanted = {str(p) for p in files}
+    CursorKind = src.cindex.CursorKind
     seen_members: set[tuple[str, int]] = set()
 
-    def annotated(path: pathlib.Path, line: int) -> bool:
-        raw = contents.get(path)
-        if raw is None:
-            return True  # outside the audited file set
-        got, _ = has_annotation(raw, line)
+    def annotated(path: str, line: int) -> bool:
+        got, _ = has_annotation(src.files[path], line)
         return got
 
     def visit(cursor, fn_locals, fn_returns_view):
         for child in cursor.get_children():
             loc = child.location
-            in_scope = (loc.file is not None
-                        and str(loc.file) in wanted)
-            path = pathlib.Path(str(loc.file)) if in_scope else None
+            path = (relative(src.root, str(loc.file))
+                    if loc.file is not None else None)
+            in_scope = path in src.files
             if child.kind == CursorKind.FIELD_DECL and in_scope:
                 is_view = clang_is_view_type(child.type)
                 spelling = child.type.get_canonical().spelling
                 owning_history = ("vector" in spelling
                                   and "RsView" in spelling)
-                key = (str(path), loc.line)
+                key = (path, loc.line)
                 if ((is_view or owning_history)
                         and key not in seen_members
                         and not annotated(path, loc.line)):
                     seen_members.add(key)
                     findings.append(sarif.Finding(
-                        rel(path, root), loc.line, "view-member",
+                        path, loc.line, "view-member",
                         f"view-typed member '{child.spelling}' has no "
                         "lifetime annotation; add '// tm-owns: <what>' or "
                         "'// tm-borrows(<owner>): <why>'"))
@@ -554,12 +480,12 @@ def clang_frontend(cindex, files, root, contents, build_dir,
                 if any(t in fn_locals for t in tokens):
                     if not annotated(path, loc.line):
                         findings.append(sarif.Finding(
-                            rel(path, root), loc.line, "view-return",
+                            path, loc.line, "view-return",
                             "returning a view into a local owning object"))
                 if "[" in tokens and "&" in tokens:
                     if not annotated(path, loc.line):
                         findings.append(sarif.Finding(
-                            rel(path, root), loc.line, "lambda-escape",
+                            path, loc.line, "lambda-escape",
                             "by-reference-capturing lambda is returned"))
             if child.kind in (CursorKind.FUNCTION_DECL, CursorKind.CXX_METHOD,
                               CursorKind.CONSTRUCTOR, CursorKind.LAMBDA_EXPR):
@@ -569,23 +495,15 @@ def clang_frontend(cindex, files, root, contents, build_dir,
             else:
                 visit(child, fn_locals, fn_returns_view)
 
-    parsed = set()
-    for cmd in db.getAllCompileCommands():
-        tu_file = pathlib.Path(cmd.directory) / cmd.filename
-        tu_file = tu_file.resolve()
-        if not str(tu_file).startswith(str(src)) or tu_file in parsed:
-            continue
-        parsed.add(tu_file)
-        args = [a for a in list(cmd.arguments)[1:]
-                if a not in (str(cmd.filename), "-c", "-o")][:-1]
-        tu = index.parse(str(tu_file), args=args)
+    for tu in translation_units(src.cindex, src.root, src.build_dir,
+                                src.files):
         visit(tu.cursor, set(), False)
 
 
 # -- pass 3: cache coherence -------------------------------------------------
 
 
-def check_cache_coherence(reg: Registry, files, root, contents,
+def check_cache_coherence(reg: Registry, src: frontend.Sources,
                           findings: list[sarif.Finding]) -> None:
     # borrow-owner: every tm-borrows names a valid owner.
     for member in reg.borrows:
@@ -614,9 +532,7 @@ def check_cache_coherence(reg: Registry, files, root, contents,
     for key in reg.owns:
         member = reg.members[key]
         by_class.setdefault(member.cls, []).append(member)
-    for path in files:
-        raw = contents[path]
-        code = strip_comments(raw)
+    for path, code in src.code.items():
         scope = ScopeTracker()
         current: tuple[str, str] | None = None  # (class, method)
         for i, code_line in enumerate(code):
@@ -639,7 +555,7 @@ def check_cache_coherence(reg: Registry, files, root, contents,
                         if (cls, method) in allowed or method == member.cls:
                             continue  # annotated invalidator or constructor
                         findings.append(sarif.Finding(
-                            rel(path, root), line_no, "owner-mutation",
+                            path, line_no, "owner-mutation",
                             f"{verb} of tm-owns member {target} inside "
                             f"{cls}::{method}, which is not annotated "
                             f"'tm-invalidates({target})'; borrowers cannot "
@@ -650,72 +566,24 @@ def check_cache_coherence(reg: Registry, files, root, contents,
 # -- driver ------------------------------------------------------------------
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--root", type=pathlib.Path,
-                        default=pathlib.Path(__file__).resolve().parents[2])
-    parser.add_argument("--build-dir", type=pathlib.Path, default=None,
-                        help="build tree holding compile_commands.json "
-                             "(enables the clang frontend)")
-    parser.add_argument("--frontend", choices=("auto", "clang", "lexical"),
-                        default="auto")
-    parser.add_argument("--sarif", type=pathlib.Path, default=None,
-                        help="also write findings as a SARIF 2.1.0 log")
-    args = parser.parse_args()
-
-    root = args.root.resolve()
-    src = root / "src"
-    files = list(iter_source_files(src))
-    contents = {p: p.read_text().splitlines() for p in files}
-
+def check(src: frontend.Sources) -> tuple[list[sarif.Finding], str]:
     findings: list[sarif.Finding] = []
-    reg = build_registry(files, root, contents)
+    reg = build_registry(src)
     findings.extend(reg.grammar_errors)
+    if src.cindex is not None:
+        clang_frontend(src, findings)
+    # The lexical pass also runs under clang: headers that no TU in the
+    # compilation database includes would otherwise be silently unaudited.
+    lexical_frontend(src, findings)
+    check_cache_coherence(reg, src, findings)
+    return findings, (f"{len(reg.owns)} owners, {len(reg.borrows)} borrows, "
+                      f"{len(reg.invalidators)} invalidators")
 
-    frontend = args.frontend
-    cindex = reason = None
-    if frontend in ("auto", "clang"):
-        cindex, reason = clang_available(args.build_dir)
-        if cindex is None:
-            if frontend == "clang":
-                print(f"tm_analyze: clang frontend unavailable: {reason}",
-                      file=sys.stderr)
-                return 2
-            frontend = "lexical"
-        else:
-            frontend = "clang"
 
-    if frontend == "clang":
-        clang_frontend(cindex, files, root, contents,
-                       args.build_dir.resolve(), findings)
-        # The lexical view-member pass also runs under clang: headers that
-        # no TU in the compilation database includes would otherwise be
-        # silently unaudited.
-        lexical_frontend(files, root, contents, findings)
-        findings[:] = list({(f.file, f.line, f.rule_id): f
-                            for f in findings}.values())
-    else:
-        lexical_frontend(files, root, contents, findings)
-
-    check_cache_coherence(reg, files, root, contents, findings)
-    findings.sort(key=lambda f: (f.file, f.line, f.rule_id))
-
-    if args.sarif is not None:
-        sarif.write_log(args.sarif, sarif.make_log(
-            "tm_analyze", TOOL_VERSION, findings, RULE_DESCRIPTIONS))
-
-    if findings:
-        for finding in findings:
-            print(finding.render(), file=sys.stderr)
-        print(f"tm_analyze: {len(findings)} error(s) "
-              f"(frontend={frontend})", file=sys.stderr)
-        return 1
-    print(f"tm_analyze: OK (frontend={frontend}, {len(files)} files, "
-          f"{len(reg.owns)} owners, {len(reg.borrows)} borrows, "
-          f"{len(reg.invalidators)} invalidators)")
-    return 0
+def main(argv=None) -> int:
+    return frontend.main("tm_analyze", TOOL_VERSION, __doc__,
+                         RULE_DESCRIPTIONS, ("src",), check,
+                         argv=argv)
 
 
 if __name__ == "__main__":

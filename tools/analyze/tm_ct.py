@@ -15,16 +15,13 @@ fixpoint. Taint exits only at audited declassification points — a
 `CtDeclassify(...)` call carrying a `// tm-declassify(<reason>)` annotation
 — or at a wipe (SecureWipe / WipeScalars).
 
-Frontends (same rule evaluation either way; they differ only in how
-function definitions are discovered):
-
-  * clang   — libclang over compile_commands.json (--build-dir). Function
-              boundaries, parameter names, and header-inline definitions
-              come from the AST, so wrapped signatures and operator
-              overloads are segmented exactly. Used in CI, where clang +
-              python3-clang are installed.
-  * lexical — self-contained regex/brace scanner. No dependencies; used
-              locally and as the automatic fallback of --frontend auto.
+Function discovery, the lexer, file loading and the CLI come from the
+shared analyzer frontend (tools/analyze/frontend.py). With --build-dir and
+the clang python bindings, libclang over compile_commands.json finds the
+function definitions, so wrapped signatures and operator overloads are
+segmented exactly (CI); otherwise, and as the fallback of --frontend
+auto, the lexical brace scanner does. Rule evaluation is the same either
+way.
 
 Rules:
 
@@ -84,14 +81,14 @@ unavailable.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import pathlib
 import re
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "lint"))
-import sarif  # noqa: E402
+import frontend
+import sarif  # tools/lint/sarif.py, on sys.path through frontend
+from frontend import (FnDef, IDENT_RE, KEYWORDS, balanced_args,
+                      comment_annotation)
 
 TOOL_NAME = "tm_ct"
 TOOL_VERSION = "1.0.0"
@@ -122,7 +119,7 @@ RULE_DESCRIPTIONS = {
 
 # Only the crypto layer is audited; the wallet/chain layers see secrets
 # solely through the self-wiping carriers defined here.
-AUDITED_SUBDIR = pathlib.Path("src") / "crypto"
+AUDITED_SUBDIRS = ("src/crypto",)
 
 # Types whose destructor wipes their secret members; locals of these
 # types are exempt from wipe-on-exit (and the destructors themselves are
@@ -139,23 +136,8 @@ DECLASSIFY_BARE_RE = re.compile(r'//\s*tm-declassify\b(?!\()')
 LADDER_RE = re.compile(r'^\s*//\s*tm-ct-ladder\b')
 SECRET_TRAIL_RE = re.compile(r'//\s*tm-secret\b')
 
-
-def comment_annotation(line: str, pattern: re.Pattern):
-    """Matches `pattern` only right after the line's first `//` opener."""
-    idx = line.find("//")
-    if idx == -1:
-        return None
-    return pattern.match(line, idx)
-
 # -- lexical patterns --------------------------------------------------------
 
-KEYWORDS = {"if", "while", "for", "switch", "return", "do", "else",
-            "catch", "sizeof", "static_cast", "reinterpret_cast",
-            "const_cast", "alignof", "decltype", "new", "delete"}
-
-# A function head: optional return type, optionally qualified name, "(".
-HEAD_RE = re.compile(
-    r'^(?:[\w:<>,*&\s]+?[\s*&])?((?:[\w]+::)*~?[A-Za-z_]\w*)\s*\(')
 # A local/member declaration: qualifiers, a type (possibly templated), an
 # identifier, then array/init/terminator.
 DECL_RE = re.compile(
@@ -164,7 +146,6 @@ DECL_RE = re.compile(
     r'([A-Za-z_]\w*)\s*(\[[^\]]*\])?\s*([;={(]|$)')
 ASSIGN_RE = re.compile(
     r'(?<![<>!=+\-*/%&|^])\s*=(?!=)')
-IDENT_RE = re.compile(r'[A-Za-z_]\w*')
 SUBSCRIPT_RE = re.compile(r'\[([^\][]*)\]')
 COND_KEYWORD_RE = re.compile(r'\b(if|while|switch)\s*\(')
 FOR_RE = re.compile(r'\bfor\s*\(')
@@ -227,65 +208,6 @@ CONSTANT_NAME_RE = re.compile(r'^(?:k[A-Z]\w*|[A-Z][A-Z0-9_]*)$')
 NUMBER_RE = re.compile(r"\b\d[\w']*")
 
 
-def strip_comments(lines: list[str]) -> list[str]:
-    """Per-line copy with comments, strings, and preprocessor blanked."""
-    out = []
-    in_block = False
-    for line in lines:
-        result = []
-        i = 0
-        if not in_block and line.lstrip().startswith("#"):
-            out.append("")
-            continue
-        while i < len(line):
-            if in_block:
-                end = line.find("*/", i)
-                if end == -1:
-                    i = len(line)
-                else:
-                    in_block = False
-                    i = end + 2
-                continue
-            ch = line[i]
-            if ch == "/" and line.startswith("//", i):
-                break
-            if ch == "/" and line.startswith("/*", i):
-                in_block = True
-                i += 2
-                continue
-            if ch in "\"'":
-                quote = ch
-                result.append(quote)
-                i += 1
-                while i < len(line):
-                    if line[i] == "\\":
-                        i += 2
-                        continue
-                    if line[i] == quote:
-                        break
-                    i += 1
-                result.append(quote)
-                i += 1
-                continue
-            result.append(ch)
-            i += 1
-        out.append("".join(result))
-    return out
-
-
-def balanced_args(text: str, open_idx: int) -> str | None:
-    """Returns the text between text[open_idx] == '(' and its match."""
-    depth = 0
-    for i in range(open_idx, len(text)):
-        if text[i] == "(":
-            depth += 1
-        elif text[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return text[open_idx + 1:i]
-    return None
-
-
 def subscripts(text: str) -> list[str]:
     """Contents of every top-level-or-nested `[...]` pair in `text`."""
     found, stack = [], []
@@ -317,226 +239,12 @@ def first_ident(text: str) -> str | None:
     return m.group(0) if m else None
 
 
-# -- function discovery (shared record) --------------------------------------
-
-@dataclasses.dataclass
-class FnDef:
-    name: str          # unqualified leaf name
-    file: str          # repo-relative path
-    head_line: int     # 1-based line of the signature start
-    params: list[str]
-    is_ladder: bool
-    # (line_index_0based, code_text) segments of the body, in order.
-    segments: list[tuple[int, str]]
-
-
-def split_params(params_text: str) -> list[str]:
-    """Last identifier of each top-level comma-separated parameter."""
-    parts, depth, cur = [], 0, []
-    for ch in params_text:
-        if ch in "<([":
-            depth += 1
-        elif ch in ">)]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    names = []
-    for p in parts:
-        p = p.split("=")[0]
-        p = re.sub(r'\[[^\]]*\]', '', p)
-        idents = IDENT_RE.findall(p)
-        if idents and idents[-1] not in ("void", "const", "int", "size_t",
-                                         "uint64_t", "uint8_t", "U256"):
-            names.append(idents[-1])
-    return names
-
-
-def body_segments(code: list[str], open_line: int, open_col: int
-                  ) -> tuple[list[tuple[int, str]], int]:
-    """Segments from the '{' at (open_line, open_col) to its match."""
-    segments = []
-    depth = 0
-    line_i, col = open_line, open_col
-    start_col = open_col
-    while line_i < len(code):
-        text = code[line_i]
-        for j in range(start_col, len(text)):
-            if text[j] == "{":
-                depth += 1
-                if depth == 1:
-                    body_from = j + 1
-            elif text[j] == "}":
-                depth -= 1
-                if depth == 0:
-                    begin = body_from if line_i == open_line else 0
-                    segments.append((line_i, text[begin:j]))
-                    return segments, line_i
-        begin = open_col + 1 if line_i == open_line else 0
-        if depth >= 1:
-            segments.append((line_i, text[begin:]))
-        line_i += 1
-        start_col = 0
-    return segments, line_i
-
-
-def lexical_functions(path: str, raw: list[str], code: list[str]
-                      ) -> list[FnDef]:
-    fns = []
-    i = 0
-    while i < len(code):
-        line = code[i]
-        m = HEAD_RE.match(line)
-        if not m or m.group(1).split("::")[-1] in KEYWORDS:
-            i += 1
-            continue
-        # Join the head until its parens balance and we reach '{' or ';'.
-        head = line
-        j = i
-        while (head.count("(") > head.count(")")
-               or not re.search(r'[;{]', head)) and j + 1 < len(code) \
-                and j - i < 8:
-            j += 1
-            head = head + " " + code[j]
-        args_text = balanced_args(head, head.find("(", m.start(1)))
-        if args_text is None or ";" in head.split("{")[0]:
-            i += 1
-            continue
-        # Locate the body '{': skip declarations and init-list ctors.
-        close = head.find("(", m.start(1)) + 1 + len(args_text)
-        tail = head[close + 1:]
-        tail_stripped = tail.lstrip()
-        if tail_stripped.startswith(":") and not tail_stripped.startswith("::"):
-            i = j + 1           # constructor with init list: not analyzed
-            continue
-        if "{" not in tail:
-            i = j + 1
-            continue
-        # Find the '{' position in the original per-line layout.
-        open_line, open_col = None, None
-        for k in range(i, min(j + 1, len(code))):
-            col = code[k].find("{")
-            if col != -1:
-                open_line, open_col = k, col
-                break
-        if open_line is None:
-            i = j + 1
-            continue
-        name = m.group(1).split("::")[-1]
-        is_ladder = any(LADDER_RE.match(raw[t])
-                        for t in range(max(0, i - 2), i))
-        segments, end_line = body_segments(code, open_line, open_col)
-        fns.append(FnDef(name=name, file=path, head_line=i + 1,
-                         params=split_params(args_text),
-                         is_ladder=is_ladder, segments=segments))
-        i = end_line + 1
-    return fns
-
-
-# -- libclang frontend -------------------------------------------------------
-
-def clang_available(build_dir: pathlib.Path | None):
-    try:
-        from clang import cindex  # noqa: F401
-    except Exception:
-        return None, "python clang bindings not importable"
-    if build_dir is None or not (build_dir / "compile_commands.json").exists():
-        return None, "no compile_commands.json (pass --build-dir)"
-    try:
-        from clang.cindex import Index
-        Index.create()
-    except Exception as e:  # libclang.so missing/mismatched
-        return None, f"libclang unusable: {e}"
-    from clang import cindex
-    return cindex, None
-
-
-def clang_functions(cindex, root: pathlib.Path, build_dir: pathlib.Path,
-                    files: dict[str, list[str]],
-                    code: dict[str, list[str]]) -> list[FnDef] | None:
-    """AST-precise function discovery; rule evaluation stays shared."""
-    from clang.cindex import CursorKind, CompilationDatabase
-    index = cindex.Index.create()
-    db = CompilationDatabase.fromDirectory(str(build_dir))
-    crypto_dir = (root / AUDITED_SUBDIR).resolve()
-    fn_kinds = (CursorKind.FUNCTION_DECL, CursorKind.CXX_METHOD,
-                CursorKind.DESTRUCTOR)
-    fns, seen = [], set()
-
-    def visit(cur):
-        try:
-            loc_file = cur.location.file
-        except Exception:
-            loc_file = None
-        if cur.kind in fn_kinds and cur.is_definition() and loc_file:
-            fpath = pathlib.Path(loc_file.name).resolve()
-            try:
-                rel = str(fpath.relative_to(root.resolve()))
-            except ValueError:
-                rel = None
-            if rel in files:
-                body = None
-                for child in cur.get_children():
-                    if child.kind == CursorKind.COMPOUND_STMT:
-                        body = child
-                if body is not None:
-                    key = (rel, cur.spelling, cur.extent.start.line)
-                    if key not in seen:
-                        seen.add(key)
-                        clines = code[rel]
-                        open_line = body.extent.start.line - 1
-                        open_col = body.extent.start.column - 1
-                        if (0 <= open_line < len(clines)
-                                and clines[open_line].find("{", open_col)
-                                >= 0):
-                            open_col = clines[open_line].find("{", open_col)
-                            segs, _ = body_segments(clines, open_line,
-                                                    open_col)
-                            head0 = cur.extent.start.line - 1
-                            raw = files[rel]
-                            is_ladder = any(
-                                LADDER_RE.match(raw[t])
-                                for t in range(max(0, head0 - 2), head0))
-                            fns.append(FnDef(
-                                name=cur.spelling.split("::")[-1],
-                                file=rel, head_line=head0 + 1,
-                                params=[a.spelling for a in
-                                        cur.get_arguments() if a.spelling],
-                                is_ladder=is_ladder, segments=segs))
-        for child in cur.get_children():
-            visit(child)
-
-    parsed_any = False
-    for rel in sorted(files):
-        if not rel.endswith(".cc"):
-            continue
-        cmds = db.getCompileCommands(str((root / rel).resolve()))
-        if not cmds:
-            continue
-        args = [a for a in list(cmds[0].arguments)[1:]
-                if a not in ("-c", "-o")]
-        # Drop the "-o out.o in.cc" operands; keep include dirs/standards.
-        filtered, skip = [], False
-        for a in args:
-            if skip:
-                skip = False
-                continue
-            if a in ("-o",):
-                skip = True
-                continue
-            if a.endswith(".cc") or a.endswith(".o"):
-                continue
-            filtered.append(a)
-        try:
-            tu = index.parse(str((root / rel).resolve()), args=filtered)
-        except Exception:
-            continue
-        parsed_any = True
-        visit(tu.cursor)
-    return fns if parsed_any else None
+def is_ladder(fn: FnDef, raw: list[str]) -> bool:
+    """True when `// tm-ct-ladder` sits on one of the two lines above the
+    function head."""
+    head0 = fn.head_line - 1
+    return any(LADDER_RE.match(raw[t])
+               for t in range(max(0, head0 - 2), head0))
 
 
 # -- taint engine ------------------------------------------------------------
@@ -735,8 +443,9 @@ def analyze_function(fn: FnDef, raw: list[str], ctx: Context,
         return expr_tainted(expr, tainted, ctx, pre_masked=pre_masked,
                             carriers=carriers)
 
+    ladder = is_ladder(fn, raw)
     ladder_counters = set()
-    if fn.is_ladder:
+    if ladder:
         for _, text in fn.segments:
             ladder_counters.update(FOR_COUNTER_RE.findall(text))
 
@@ -832,7 +541,7 @@ def analyze_function(fn: FnDef, raw: list[str], ctx: Context,
         if not is_declassify_stmt:
             for cond in extract_conditions(masked):
                 if is_tainted(cond, pre_masked=True):
-                    if declassify is not None and fn.is_ladder:
+                    if declassify is not None and ladder:
                         if ann_line is not None:
                             ctx.used_annotations.add((fn.file, ann_line))
                         continue
@@ -854,7 +563,7 @@ def analyze_function(fn: FnDef, raw: list[str], ctx: Context,
 
         # Ladder hygiene: the audited kernels stay branch-free by
         # construction, and the analyzer holds them to it.
-        if fn.is_ladder:
+        if ladder:
             for display, pat in LADDER_BANNED:
                 if pat.search(stmt):
                     report("ladder-hygiene", line,
@@ -1032,9 +741,8 @@ def check_annotation_use(files: dict[str, list[str]], ctx: Context
     return findings
 
 
-def run(root: pathlib.Path, fns: list[FnDef],
-        files: dict[str, list[str]], code: dict[str, list[str]]
-        ) -> list[sarif.Finding]:
+def check(src: frontend.Sources) -> tuple[list[sarif.Finding], str]:
+    fns, files, code = src.fns, src.files, src.code
     ctx = Context()
     fn_lines: dict[str, set[int]] = {}
     for fn in fns:
@@ -1090,92 +798,14 @@ def run(root: pathlib.Path, fns: list[FnDef],
 
     findings.extend(check_self_wiping_types(files, code))
     findings.extend(check_annotation_use(files, ctx))
-    return findings
-
-
-def load_files(root: pathlib.Path):
-    files: dict[str, list[str]] = {}
-    code: dict[str, list[str]] = {}
-    crypto = root / AUDITED_SUBDIR
-    if not crypto.is_dir():
-        return files, code
-    for path in sorted(crypto.rglob("*")):
-        if path.suffix not in (".h", ".cc"):
-            continue
-        rel = str(path.relative_to(root))
-        raw = path.read_text(encoding="utf-8",
-                             errors="replace").splitlines()
-        files[rel] = raw
-        code[rel] = strip_comments(raw)
-    return files, code
+    return findings, f"{len(fns)} functions"
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="secret-taint constant-time analyzer")
-    parser.add_argument("--root", type=pathlib.Path,
-                        default=pathlib.Path(__file__).resolve()
-                        .parent.parent.parent)
-    parser.add_argument("--build-dir", type=pathlib.Path, default=None,
-                        help="build dir containing compile_commands.json "
-                             "(enables the clang frontend)")
-    parser.add_argument("--frontend", choices=("auto", "clang", "lexical"),
-                        default="auto")
-    parser.add_argument("--sarif", type=pathlib.Path, default=None)
-    args = parser.parse_args(argv)
-
-    root = args.root.resolve()
-    files, code = load_files(root)
-    if not files:
-        print(f"tm_ct: no crypto sources under {root / AUDITED_SUBDIR}",
-              file=sys.stderr)
-        return 0
-
-    frontend = args.frontend
-    cindex = None
-    if frontend in ("auto", "clang"):
-        cindex, reason = clang_available(args.build_dir)
-        if cindex is None:
-            if frontend == "clang":
-                print(f"tm_ct: clang frontend unavailable: {reason}",
-                      file=sys.stderr)
-                return 2
-            frontend = "lexical"
-        else:
-            frontend = "clang"
-
-    fns = None
-    if frontend == "clang":
-        fns = clang_functions(cindex, root, args.build_dir, files, code)
-        if fns is None:
-            if args.frontend == "clang":
-                print("tm_ct: clang frontend produced no translation units",
-                      file=sys.stderr)
-                return 2
-            frontend = "lexical"
-    if fns is None:
-        fns = []
-        for rel in sorted(files):
-            fns.extend(lexical_functions(rel, files[rel], code[rel]))
-
-    findings = run(root, fns, files, code)
-    findings = list({(f.file, f.line, f.rule_id): f
-                     for f in findings}.values())
-    findings.sort(key=lambda f: (f.file, f.line, f.rule_id))
-
-    if args.sarif:
-        log = sarif.make_log(TOOL_NAME, TOOL_VERSION, findings,
-                             RULE_DESCRIPTIONS)
-        sarif.write_log(args.sarif, log)
-
-    if findings:
-        for f in findings:
-            print(f.render(), file=sys.stderr)
-        print(f"tm_ct: {len(findings)} error(s)", file=sys.stderr)
-        return 1
-    print(f"tm_ct: OK (frontend={frontend}, {len(files)} files, "
-          f"{len(fns)} functions)")
-    return 0
+    return frontend.main(
+        TOOL_NAME, TOOL_VERSION, "secret-taint constant-time analyzer",
+        RULE_DESCRIPTIONS, AUDITED_SUBDIRS, check, functions=True,
+        argv=argv)
 
 
 if __name__ == "__main__":

@@ -63,10 +63,11 @@ audited here by the wait rules instead; implicit atomic conversions
 so audited flags keep their tm-atomic at the declaration where every
 access is covered by name.
 
-Frontends are shared with tm_ct: libclang over compile_commands.json
-(--build-dir) segments function bodies from the AST; the lexical
-brace-scanner is the dependency-free fallback of --frontend auto. Rule
-evaluation is identical either way.
+Function discovery, the lexer, file loading and the CLI come from the
+shared analyzer frontend (tools/analyze/frontend.py): libclang over
+compile_commands.json (--build-dir) or the lexical brace scanner, which
+is the dependency-free fallback of --frontend auto. Rule evaluation is
+identical either way.
 
 Exit codes: 0 clean, 1 findings, 2 --frontend clang requested but
 unavailable.
@@ -74,14 +75,13 @@ unavailable.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import pathlib
 import re
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "lint"))
-import sarif  # noqa: E402
+import frontend
+import sarif  # tools/lint/sarif.py, on sys.path through frontend
+from frontend import FnDef, IDENT_RE, balanced_args, comment_annotation
 
 TOOL_NAME = "tm_sync"
 TOOL_VERSION = "1.0.0"
@@ -120,8 +120,8 @@ RULE_DESCRIPTIONS = {
 RULES = ("lock-order", "publish-release", "consume-acquire", "bare-atomic",
          "cv-predicate", "held-over-wait", "thread-ownership")
 
-AUDITED_SUBDIRS = ("common", "analysis", "core", "node", "rpc", "testnet",
-                   "sim")
+AUDITED_SUBDIRS = tuple(f"src/{sub}" for sub in (
+    "common", "analysis", "core", "node", "rpc", "testnet", "sim"))
 
 # -- annotation grammar ------------------------------------------------------
 
@@ -136,23 +136,7 @@ ATOMIC_BARE_RE = re.compile(r'//\s*tm-atomic\b(?!\()')
 ALLOW_RE = re.compile(r'//\s*tm-sync:\s*allow\(([a-z-]+)\s*,\s*([^)]*)\)')
 ALLOW_BARE_RE = re.compile(r'//\s*tm-sync\b(?!:\s*allow\()')
 
-
-def comment_annotation(line: str, pattern: re.Pattern):
-    """Matches `pattern` only right after the line's first `//` opener."""
-    idx = line.find("//")
-    if idx == -1:
-        return None
-    return pattern.match(line, idx)
-
 # -- lexical patterns --------------------------------------------------------
-
-KEYWORDS = {"if", "while", "for", "switch", "return", "do", "else",
-            "catch", "sizeof", "static_cast", "reinterpret_cast",
-            "const_cast", "alignof", "decltype", "new", "delete"}
-
-HEAD_RE = re.compile(
-    r'^(?:[\w:<>,*&\s]+?[\s*&])?((?:[\w]+::)*~?[A-Za-z_]\w*)\s*\(')
-IDENT_RE = re.compile(r'[A-Za-z_]\w*')
 
 MUTEX_DECL_RE = re.compile(
     r'^\s*(?:mutable\s+|static\s+)*(?:common::)?(?:Shared)?Mutex\s+'
@@ -179,66 +163,6 @@ RELEASE_ORDERS = ("memory_order_release", "memory_order_acq_rel",
                   "memory_order_seq_cst")
 ACQUIRE_ORDERS = ("memory_order_acquire", "memory_order_acq_rel",
                   "memory_order_seq_cst")
-
-
-def strip_comments(lines: list[str]) -> list[str]:
-    """Per-line copy with comments and strings blanked (preprocessor kept
-    blank too, except that includes are handled from the raw lines)."""
-    out = []
-    in_block = False
-    for line in lines:
-        result = []
-        i = 0
-        if not in_block and line.lstrip().startswith("#"):
-            out.append("")
-            continue
-        while i < len(line):
-            if in_block:
-                end = line.find("*/", i)
-                if end == -1:
-                    i = len(line)
-                else:
-                    in_block = False
-                    i = end + 2
-                continue
-            ch = line[i]
-            if ch == "/" and line.startswith("//", i):
-                break
-            if ch == "/" and line.startswith("/*", i):
-                in_block = True
-                i += 2
-                continue
-            if ch in "\"'":
-                quote = ch
-                result.append(quote)
-                i += 1
-                while i < len(line):
-                    if line[i] == "\\":
-                        i += 2
-                        continue
-                    if line[i] == quote:
-                        break
-                    i += 1
-                result.append(quote)
-                i += 1
-                continue
-            result.append(ch)
-            i += 1
-        out.append("".join(result))
-    return out
-
-
-def balanced_args(text: str, open_idx: int) -> str | None:
-    """Returns the text between text[open_idx] == '(' and its match."""
-    depth = 0
-    for i in range(open_idx, len(text)):
-        if text[i] == "(":
-            depth += 1
-        elif text[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return text[open_idx + 1:i]
-    return None
 
 
 def joined_args(code: list[str], line_i: int, open_idx: int,
@@ -271,193 +195,6 @@ def top_level_commas(args: str) -> int:
         elif ch == "," and depth == 0:
             count += 1
     return count
-
-
-# -- function discovery (shared record) --------------------------------------
-
-@dataclasses.dataclass
-class FnDef:
-    name: str          # unqualified leaf name
-    file: str          # repo-relative path
-    head_line: int     # 1-based line of the signature start
-    # (line_index_0based, code_text) segments of the body, in order.
-    segments: list[tuple[int, str]]
-
-
-def body_segments(code: list[str], open_line: int, open_col: int
-                  ) -> tuple[list[tuple[int, str]], int]:
-    """Segments from the '{' at (open_line, open_col) to its match."""
-    segments = []
-    depth = 0
-    line_i = open_line
-    start_col = open_col
-    body_from = open_col + 1
-    while line_i < len(code):
-        text = code[line_i]
-        for j in range(start_col, len(text)):
-            if text[j] == "{":
-                depth += 1
-                if depth == 1:
-                    body_from = j + 1
-            elif text[j] == "}":
-                depth -= 1
-                if depth == 0:
-                    begin = body_from if line_i == open_line else 0
-                    segments.append((line_i, text[begin:j]))
-                    return segments, line_i
-        begin = open_col + 1 if line_i == open_line else 0
-        if depth >= 1:
-            segments.append((line_i, text[begin:]))
-        line_i += 1
-        start_col = 0
-    return segments, line_i
-
-
-def lexical_functions(path: str, code: list[str]) -> list[FnDef]:
-    fns = []
-    i = 0
-    while i < len(code):
-        line = code[i]
-        m = HEAD_RE.match(line)
-        if not m or m.group(1).split("::")[-1] in KEYWORDS:
-            i += 1
-            continue
-        head = line
-        j = i
-        while (head.count("(") > head.count(")")
-               or not re.search(r'[;{]', head)) and j + 1 < len(code) \
-                and j - i < 8:
-            j += 1
-            head = head + " " + code[j]
-        args_text = balanced_args(head, head.find("(", m.start(1)))
-        if args_text is None or ";" in head.split("{")[0]:
-            i += 1
-            continue
-        close = head.find("(", m.start(1)) + 1 + len(args_text)
-        tail = head[close + 1:]
-        tail_stripped = tail.lstrip()
-        if tail_stripped.startswith(":") and not tail_stripped.startswith("::"):
-            i = j + 1           # constructor with init list: not analyzed
-            continue
-        if "{" not in tail:
-            i = j + 1
-            continue
-        open_line, open_col = None, None
-        for k in range(i, min(j + 1, len(code))):
-            col = code[k].find("{")
-            if col != -1:
-                open_line, open_col = k, col
-                break
-        if open_line is None:
-            i = j + 1
-            continue
-        name = m.group(1).split("::")[-1]
-        segments, end_line = body_segments(code, open_line, open_col)
-        fns.append(FnDef(name=name, file=path, head_line=i + 1,
-                         segments=segments))
-        i = end_line + 1
-    return fns
-
-
-# -- libclang frontend -------------------------------------------------------
-
-def clang_available(build_dir: pathlib.Path | None):
-    try:
-        from clang import cindex  # noqa: F401
-    except Exception:
-        return None, "python clang bindings not importable"
-    if build_dir is None or not (build_dir / "compile_commands.json").exists():
-        return None, "no compile_commands.json (pass --build-dir)"
-    try:
-        from clang.cindex import Index
-        Index.create()
-    except Exception as e:  # libclang.so missing/mismatched
-        return None, f"libclang unusable: {e}"
-    from clang import cindex
-    return cindex, None
-
-
-def clang_functions(cindex, root: pathlib.Path, build_dir: pathlib.Path,
-                    files: dict[str, list[str]],
-                    code: dict[str, list[str]]) -> list[FnDef] | None:
-    """AST-precise function discovery; rule evaluation stays shared."""
-    from clang.cindex import CursorKind, CompilationDatabase
-    index = cindex.Index.create()
-    db = CompilationDatabase.fromDirectory(str(build_dir))
-    fn_kinds = (CursorKind.FUNCTION_DECL, CursorKind.CXX_METHOD,
-                CursorKind.CONSTRUCTOR, CursorKind.DESTRUCTOR)
-    fns, seen = [], set()
-
-    def visit(cur):
-        try:
-            loc_file = cur.location.file
-        except Exception:
-            loc_file = None
-        if cur.kind in fn_kinds and cur.is_definition() and loc_file:
-            fpath = pathlib.Path(loc_file.name).resolve()
-            try:
-                rel = str(fpath.relative_to(root.resolve()))
-            except ValueError:
-                rel = None
-            if rel in files:
-                body = None
-                for child in cur.get_children():
-                    if child.kind == CursorKind.COMPOUND_STMT:
-                        body = child
-                if body is not None:
-                    key = (rel, cur.spelling, cur.extent.start.line)
-                    if key not in seen:
-                        seen.add(key)
-                        clines = code[rel]
-                        open_line = body.extent.start.line - 1
-                        open_col = body.extent.start.column - 1
-                        if (0 <= open_line < len(clines)
-                                and clines[open_line].find("{", open_col)
-                                >= 0):
-                            open_col = clines[open_line].find("{", open_col)
-                            segs, _ = body_segments(clines, open_line,
-                                                    open_col)
-                            fns.append(FnDef(
-                                name=cur.spelling.split("::")[-1],
-                                file=rel,
-                                head_line=cur.extent.start.line,
-                                segments=segs))
-        for child in cur.get_children():
-            visit(child)
-
-    parsed_any = False
-    for rel in sorted(files):
-        if not rel.endswith(".cc"):
-            continue
-        cmds = db.getCompileCommands(str((root / rel).resolve()))
-        if not cmds:
-            continue
-        args = list(cmds[0].arguments)[1:]
-        filtered, skip = [], False
-        for a in args:
-            if skip:
-                skip = False
-                continue
-            if a in ("-o", "-c"):
-                skip = a == "-o"
-                continue
-            if a.endswith(".cc") or a.endswith(".o"):
-                continue
-            filtered.append(a)
-        try:
-            tu = index.parse(str((root / rel).resolve()), args=filtered)
-        except Exception:
-            continue
-        parsed_any = True
-        visit(tu.cursor)
-    # Headers (inline bodies) are only seen through includes; merge in a
-    # lexical pass over any header no TU covered so header-only code
-    # (bounded_queue.h) is never silently skipped.
-    covered = {f.file for f in fns}
-    for rel in sorted(files):
-        if rel.endswith(".h") and rel not in covered:
-            fns.extend(lexical_functions(rel, code[rel]))
-    return fns if parsed_any else None
 
 
 # -- registries --------------------------------------------------------------
@@ -967,9 +704,8 @@ class Analysis:
                             f"nothing in its three-line window"))
 
 
-def run(fns: list[FnDef], files: dict[str, list[str]],
-        code: dict[str, list[str]]) -> list[sarif.Finding]:
-    a = Analysis(files, code)
+def check(src: frontend.Sources) -> tuple[list[sarif.Finding], str]:
+    a = Analysis(src.files, src.code)
     a.collect_allows()
     a.collect_mutexes()
     a.collect_atomics_and_cvs()
@@ -979,94 +715,16 @@ def run(fns: list[FnDef], files: dict[str, list[str]],
     a.check_stale_atomics()
     a.check_cv_predicates()
     a.check_thread_ownership()
-    a.run_lock_analysis(fns)
+    a.run_lock_analysis(src.fns)
     a.check_stale_allows()
-    return a.findings
-
-
-def load_files(root: pathlib.Path):
-    files: dict[str, list[str]] = {}
-    code: dict[str, list[str]] = {}
-    for sub in AUDITED_SUBDIRS:
-        base = root / "src" / sub
-        if not base.is_dir():
-            continue
-        for path in sorted(base.rglob("*")):
-            if path.suffix not in (".h", ".cc"):
-                continue
-            rel = str(path.relative_to(root))
-            raw = path.read_text(encoding="utf-8",
-                                 errors="replace").splitlines()
-            files[rel] = raw
-            code[rel] = strip_comments(raw)
-    return files, code
+    return a.findings, f"{len(src.fns)} functions"
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="lock-order & atomic-publication discipline analyzer")
-    parser.add_argument("--root", type=pathlib.Path,
-                        default=pathlib.Path(__file__).resolve()
-                        .parent.parent.parent)
-    parser.add_argument("--build-dir", type=pathlib.Path, default=None,
-                        help="build dir containing compile_commands.json "
-                             "(enables the clang frontend)")
-    parser.add_argument("--frontend", choices=("auto", "clang", "lexical"),
-                        default="auto")
-    parser.add_argument("--sarif", type=pathlib.Path, default=None)
-    args = parser.parse_args(argv)
-
-    root = args.root.resolve()
-    files, code = load_files(root)
-    if not files:
-        print(f"tm_sync: no sources under {root / 'src'}", file=sys.stderr)
-        return 0
-
-    frontend = args.frontend
-    cindex = None
-    if frontend in ("auto", "clang"):
-        cindex, reason = clang_available(args.build_dir)
-        if cindex is None:
-            if frontend == "clang":
-                print(f"tm_sync: clang frontend unavailable: {reason}",
-                      file=sys.stderr)
-                return 2
-            frontend = "lexical"
-        else:
-            frontend = "clang"
-
-    fns = None
-    if frontend == "clang":
-        fns = clang_functions(cindex, root, args.build_dir, files, code)
-        if fns is None:
-            if args.frontend == "clang":
-                print("tm_sync: clang frontend produced no translation "
-                      "units", file=sys.stderr)
-                return 2
-            frontend = "lexical"
-    if fns is None:
-        fns = []
-        for rel in sorted(files):
-            fns.extend(lexical_functions(rel, code[rel]))
-
-    findings = run(fns, files, code)
-    findings = list({(f.file, f.line, f.rule_id): f
-                     for f in findings}.values())
-    findings.sort(key=lambda f: (f.file, f.line, f.rule_id))
-
-    if args.sarif:
-        log = sarif.make_log(TOOL_NAME, TOOL_VERSION, findings,
-                             RULE_DESCRIPTIONS)
-        sarif.write_log(args.sarif, log)
-
-    if findings:
-        for f in findings:
-            print(f.render(), file=sys.stderr)
-        print(f"tm_sync: {len(findings)} error(s)", file=sys.stderr)
-        return 1
-    print(f"tm_sync: OK (frontend={frontend}, {len(files)} files, "
-          f"{len(fns)} functions)")
-    return 0
+    return frontend.main(
+        TOOL_NAME, TOOL_VERSION,
+        "lock-order & atomic-publication discipline analyzer",
+        RULE_DESCRIPTIONS, AUDITED_SUBDIRS, check, functions=True, argv=argv)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Shared SARIF 2.1.0 emission for the TokenMagic static-analysis tools.
 
-Both tm_lint.py (lexical linter) and tools/analyze/tm_analyze.py (AST-level
-analyzer) produce findings as (file, line, rule_id, message) tuples; this
-module turns one tool's findings into a SARIF log that GitHub code scanning
-can ingest, so findings annotate PR diffs inline. Plain-text output stays
-the default for local runs — SARIF is opt-in via each tool's --sarif flag.
+The four analyzers (tm_lint, tm_analyze, tm_ct, tm_sync) produce findings
+as (file, line, rule_id, message) tuples; this module, through the shared
+output path in tools/analyze/frontend.py, turns one tool's findings into a
+SARIF log that GitHub code scanning can ingest, so findings annotate PR
+diffs inline. Plain-text output stays the default for local runs — SARIF
+is opt-in via each tool's --sarif flag.
 
 No third-party dependencies: the SARIF log is assembled as plain dicts and
 serialized with the stdlib json module.

@@ -9,6 +9,11 @@ With --sarif the findings are additionally written as a SARIF 2.1.0 log
 (tools/lint/sarif.py) for CI code-scanning upload; plain text on stderr
 stays the default for local runs.
 
+File loading, the lexer and the output path (dedupe, sort, SARIF, print)
+are the shared analyzer frontend's (tools/analyze/frontend.py). The lexer
+blanks comments, string literals and preprocessor lines, so the checks
+that match #include lines (layering, rpc-bounded) read the raw lines.
+
 Escape comments
 ---------------
 Audited exceptions use ONE syntax, checked by the linter itself:
@@ -121,7 +126,9 @@ import pathlib
 import re
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
+                        / "analyze"))
+import frontend  # noqa: E402  (tools/analyze/frontend.py)
 import sarif  # noqa: E402  (tools/lint/sarif.py)
 
 TOOL_VERSION = "3.3"
@@ -200,6 +207,11 @@ LEGACY_RE = re.compile(
     r'tm-lint:\s*(float-ok|clock-ok|history-ok|ct-ok)\s*\(')
 
 
+def module_of(path: str) -> str:
+    """The src/ module a repo-relative path belongs to."""
+    return path.split("/")[1]
+
+
 class Allow:
     """One parsed `tm-lint: allow(check, reason)` escape comment."""
 
@@ -212,65 +224,17 @@ class Allow:
 class Linter:
     def __init__(self, root: pathlib.Path):
         self.root = root
-        self.src = root / "src"
         self.findings: list[sarif.Finding] = []
         #: path -> parsed allow comments, filled before the checks run.
-        self.allows: dict[pathlib.Path, list[Allow]] = {}
+        self.allows: dict[str, list[Allow]] = {}
 
-    def error(self, path: pathlib.Path, line_no: int, rule: str,
+    def error(self, path: str, line_no: int, rule: str,
               message: str) -> None:
-        rel = path.relative_to(self.root).as_posix()
-        self.findings.append(sarif.Finding(rel, line_no, rule, message))
+        self.findings.append(sarif.Finding(path, line_no, rule, message))
 
     # -- helpers ----------------------------------------------------------
 
-    @staticmethod
-    def strip_comments(lines: list[str]) -> list[str]:
-        """Per-line copy with comment text blanked (string-literal naive)."""
-        out = []
-        in_block = False
-        for line in lines:
-            result = []
-            i = 0
-            while i < len(line):
-                if in_block:
-                    end = line.find("*/", i)
-                    if end == -1:
-                        i = len(line)
-                    else:
-                        in_block = False
-                        i = end + 2
-                    continue
-                if line.startswith("//", i):
-                    break
-                if line.startswith("/*", i):
-                    in_block = True
-                    i += 2
-                    continue
-                result.append(line[i])
-                i += 1
-            out.append("".join(result))
-        return out
-
-    def iter_source_files(self):
-        for path in sorted(self.src.rglob("*")):
-            if path.suffix in (".h", ".cc"):
-                yield path
-
-    def iter_test_files(self):
-        """tests/ sources, minus the fixture corpora under tests/tooling/
-        (those are analyzer inputs, deliberately full of banned shapes)."""
-        tests = self.root / "tests"
-        if not tests.is_dir():
-            return
-        for path in sorted(tests.rglob("*")):
-            if path.suffix not in (".h", ".cc"):
-                continue
-            if "tooling" in path.relative_to(tests).parts:
-                continue
-            yield path
-
-    def scan_allows(self, path: pathlib.Path, raw: list[str]) -> None:
+    def scan_allows(self, path: str, raw: list[str]) -> None:
         """Parses every tm-lint directive; rejects malformed ones now and
         records allow() comments for the stale check after the scan."""
         allows: list[Allow] = []
@@ -302,7 +266,7 @@ class Linter:
             allows.append(Allow(i, check))
         self.allows[path] = allows
 
-    def consume_allow(self, path: pathlib.Path, check: str,
+    def consume_allow(self, path: str, check: str,
                       line_no: int) -> bool:
         """True when an allow(check) covers `line_no` (same line or the two
         lines above); marks it used so the stale check passes."""
@@ -316,16 +280,15 @@ class Linter:
 
     # -- checks -----------------------------------------------------------
 
-    def check_layering(self, path: pathlib.Path, code: list[str]) -> None:
-        rel = path.relative_to(self.src)
-        module = rel.parts[0]
+    def check_layering(self, path: str, raw: list[str]) -> None:
+        module = module_of(path)
         if module not in MODULE_RANK:
             self.error(path, 1, "layering",
                        f"unknown module '{module}' (update the DAG "
                        "in tools/lint/tm_lint.py and docs)")
             return
         rank = MODULE_RANK[module]
-        for i, line in enumerate(code, start=1):
+        for i, line in enumerate(raw, start=1):
             m = INCLUDE_RE.match(line)
             if not m:
                 continue
@@ -339,7 +302,7 @@ class Linter:
                            f"may not include '{m.group(1)}' "
                            f"(module '{target}', rank {MODULE_RANK[target]})")
 
-    def check_banned_patterns(self, path: pathlib.Path,
+    def check_banned_patterns(self, path: str,
                               code: list[str]) -> None:
         for i, line in enumerate(code, start=1):
             if RAND_RE.search(line):
@@ -351,9 +314,8 @@ class Linter:
                            "banned wall-clock seeding: time(nullptr) makes "
                            "runs irreproducible; thread an explicit seed")
 
-    def check_float_ban(self, path: pathlib.Path, code: list[str]) -> None:
-        rel = str(path.relative_to(self.src)).replace("\\", "/")
-        if rel not in FLOAT_BANNED_FILES:
+    def check_float_ban(self, path: str, code: list[str]) -> None:
+        if path.removeprefix("src/") not in FLOAT_BANNED_FILES:
             return
         for i, line in enumerate(code, start=1):
             if not FLOAT_RE.search(line):
@@ -365,8 +327,8 @@ class Linter:
                        "use integer/rational math or annotate an audited "
                        "use with 'tm-lint: allow(float, <reason>)'")
 
-    def check_nodiscard(self, path: pathlib.Path, code: list[str]) -> None:
-        if path.suffix != ".h":
+    def check_nodiscard(self, path: str, code: list[str]) -> None:
+        if not path.endswith(".h"):
             return
         for i, line in enumerate(code, start=1):
             if not STATUS_DECL_RE.match(line):
@@ -381,10 +343,9 @@ class Linter:
                        "[[nodiscard]] (silently dropped errors corrupt "
                        "results)")
 
-    def check_clock_hygiene(self, path: pathlib.Path,
+    def check_clock_hygiene(self, path: str,
                             code: list[str]) -> None:
-        rel = path.relative_to(self.src)
-        if rel.parts[0] == "common":
+        if module_of(path) == "common":
             return  # SteadyClock/StopWatch implementations live here
         for i, line in enumerate(code, start=1):
             if not CLOCK_RE.search(line):
@@ -397,10 +358,10 @@ class Linter:
                        "annotate an audited use with "
                        "'tm-lint: allow(clock, <reason>)'")
 
-    def check_history_span(self, path: pathlib.Path,
+    def check_history_span(self, path: str,
                            code: list[str]) -> None:
-        rel = path.relative_to(self.src)
-        if rel.parts[0] not in ("core", "analysis") or path.suffix != ".h":
+        if (module_of(path) not in ("core", "analysis")
+                or not path.endswith(".h")):
             return
         for i, line in enumerate(code, start=1):
             if not HISTORY_VEC_RE.search(line):
@@ -414,13 +375,12 @@ class Linter:
                        "shared, or annotate owning storage with "
                        "'tm-lint: allow(history, <reason>)'")
 
-    def check_rpc_bounded(self, path: pathlib.Path,
+    def check_rpc_bounded(self, path: str, raw: list[str],
                           code: list[str]) -> None:
-        rel = path.relative_to(self.src)
-        if rel.parts[0] not in ("rpc", "testnet"):
+        if module_of(path) not in ("rpc", "testnet"):
             return
         for i, line in enumerate(code, start=1):
-            if not (RPC_INCLUDE_RE.match(line) or
+            if not (RPC_INCLUDE_RE.match(raw[i - 1]) or
                     RPC_UNBOUNDED_RE.search(line)):
                 continue
             if self.consume_allow(path, "rpc-bounded", i):
@@ -431,10 +391,9 @@ class Linter:
                        "audited owner with "
                        "'tm-lint: allow(rpc-bounded, <reason>)'")
 
-    def check_context_build(self, path: pathlib.Path,
+    def check_context_build(self, path: str,
                             code: list[str]) -> None:
-        rel = path.relative_to(self.src)
-        if rel.parts[0] not in ("node", "core"):
+        if module_of(path) not in ("node", "core"):
             return
         for i, line in enumerate(code, start=1):
             if not CONTEXT_BUILD_RE.search(line):
@@ -448,7 +407,7 @@ class Linter:
                        " (Append + View) or annotate an audited cold path "
                        "with 'tm-lint: allow(context-build, <reason>)'")
 
-    def check_test_sleep(self, path: pathlib.Path,
+    def check_test_sleep(self, path: str,
                          code: list[str]) -> None:
         for i, line in enumerate(code, start=1):
             if not TEST_SLEEP_RE.search(line):
@@ -475,48 +434,37 @@ class Linter:
     # -- driver -----------------------------------------------------------
 
     def run(self, sarif_out: pathlib.Path | None = None) -> int:
-        files = list(self.iter_source_files())
-        test_files = list(self.iter_test_files())
+        files, code = frontend.load_files(self.root, ("src",))
+        tests, test_code = frontend.load_files(self.root, ("tests",))
+        # The fixture corpora under tests/tooling/ are analyzer inputs,
+        # deliberately full of banned shapes.
+        tests = {path: raw for path, raw in tests.items()
+                 if "tooling" not in path.split("/")[1:]}
         # Pass 1: parse every escape comment so the per-file checks can
         # consume allows and the stale check sees the full registry.
-        contents = {}
-        for path in files + test_files:
-            raw = path.read_text().splitlines()
-            contents[path] = raw
+        for path, raw in {**files, **tests}.items():
             self.scan_allows(path, raw)
         # Pass 2: the checks.
-        for path in files:
-            raw = contents[path]
-            code = self.strip_comments(raw)
-            self.check_layering(path, code)
-            self.check_banned_patterns(path, code)
-            self.check_float_ban(path, code)
-            self.check_nodiscard(path, code)
-            self.check_clock_hygiene(path, code)
-            self.check_history_span(path, code)
-            self.check_rpc_bounded(path, code)
-            self.check_context_build(path, code)
-        for path in test_files:
-            self.check_test_sleep(path, self.strip_comments(contents[path]))
+        for path, raw in files.items():
+            self.check_layering(path, raw)
+            self.check_banned_patterns(path, code[path])
+            self.check_float_ban(path, code[path])
+            self.check_nodiscard(path, code[path])
+            self.check_clock_hygiene(path, code[path])
+            self.check_history_span(path, code[path])
+            self.check_rpc_bounded(path, raw, code[path])
+            self.check_context_build(path, code[path])
+        for path in tests:
+            self.check_test_sleep(path, test_code[path])
         self.check_stale_allows()
-
-        if sarif_out is not None:
-            sarif.write_log(sarif_out, sarif.make_log(
-                "tm_lint", TOOL_VERSION, self.findings, RULE_DESCRIPTIONS))
-
-        if self.findings:
-            for finding in self.findings:
-                print(finding.render(), file=sys.stderr)
-            print(f"tm_lint: {len(self.findings)} error(s)", file=sys.stderr)
-            return 1
-        print("tm_lint: OK")
-        return 0
+        return frontend.emit("tm_lint", TOOL_VERSION, RULE_DESCRIPTIONS,
+                             self.findings, sarif_out)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--root", type=pathlib.Path,
-                        default=pathlib.Path(__file__).resolve().parents[2])
+                        default=frontend.REPO_ROOT)
     parser.add_argument("--sarif", type=pathlib.Path, default=None,
                         help="also write findings as a SARIF 2.1.0 log")
     args = parser.parse_args()

@@ -40,12 +40,19 @@ namespace {
 
 using namespace tokenmagic;
 
-/// Minimal --flag value parser: flags are "--name value" pairs.
+/// Minimal --flag value parser: flags are "--name value" pairs. A stray
+/// argument, a flag without a value, a value that does not parse, or a
+/// negative size is recorded as an InvalidArgument in status(); a command
+/// checks it after reading its flags and before doing any work.
 class Args {
  public:
   Args(int argc, char** argv) {
-    for (int i = 2; i + 1 < argc; i += 2) {
-      if (common::StartsWith(argv[i], "--")) {
+    for (int i = 2; i < argc; i += 2) {
+      if (!common::StartsWith(argv[i], "--")) {
+        Fail(common::StrFormat("unexpected argument '%s'", argv[i]));
+      } else if (i + 1 == argc) {
+        Fail(common::StrFormat("flag %s has no value", argv[i]));
+      } else {
         values_[argv[i] + 2] = argv[i + 1];
       }
     }
@@ -55,30 +62,62 @@ class Args {
     auto it = values_.find(name);
     return it == values_.end() ? fallback : it->second;
   }
-  int64_t GetInt(const std::string& name, int64_t fallback) const {
+  int64_t GetInt(const std::string& name, int64_t fallback) {
     auto it = values_.find(name);
     if (it == values_.end()) return fallback;
     int64_t out = fallback;
-    common::ParseInt64(it->second, &out);
+    if (!common::ParseInt64(it->second, &out)) {
+      Fail(common::StrFormat("--%s '%s' is not an integer", name.c_str(),
+                             it->second.c_str()));
+      return fallback;
+    }
     return out;
   }
-  double GetDouble(const std::string& name, double fallback) const {
+  /// A count: negative values are refused rather than wrapped to ~2^64.
+  size_t GetSize(const std::string& name, size_t fallback) {
+    int64_t value = GetInt(name, static_cast<int64_t>(fallback));
+    if (value < 0) {
+      Fail(common::StrFormat("--%s %lld: must be >= 0", name.c_str(),
+                             static_cast<long long>(value)));
+      return fallback;
+    }
+    return static_cast<size_t>(value);
+  }
+  double GetDouble(const std::string& name, double fallback) {
     auto it = values_.find(name);
     if (it == values_.end()) return fallback;
     double out = fallback;
-    common::ParseDouble(it->second, &out);
+    if (!common::ParseDouble(it->second, &out)) {
+      Fail(common::StrFormat("--%s '%s' is not a number", name.c_str(),
+                             it->second.c_str()));
+      return fallback;
+    }
     return out;
   }
   bool Has(const std::string& name) const { return values_.count(name) > 0; }
 
+  /// The first flag error seen so far; Ok when every flag was well formed.
+  const common::Status& status() const { return status_; }
+
  private:
+  void Fail(std::string message) {
+    if (status_.ok()) status_ = common::Status::InvalidArgument(message);
+  }
+
   std::map<std::string, std::string> values_;
+  common::Status status_;
 };
+
+/// Reports a failed command on stderr; exit code 1.
+int Fail(const char* command, const common::Status& status) {
+  std::fprintf(stderr, "%s failed: %s\n", command, status.ToString().c_str());
+  return 1;
+}
 
 /// Reads --c/--ell over `fallback`. A pair that fails
 /// DiversityRequirement::IsValid is an InvalidArgument, not an abort.
 common::Result<chain::DiversityRequirement> RequirementFlags(
-    const Args& args, chain::DiversityRequirement fallback) {
+    Args& args, chain::DiversityRequirement fallback) {
   int64_t ell = args.GetInt("ell", fallback.ell);
   chain::DiversityRequirement req{args.GetDouble("c", fallback.c),
                                   static_cast<int>(ell)};
@@ -108,15 +147,16 @@ int Usage() {
   return 2;
 }
 
-int GenSynthetic(const Args& args) {
+int GenSynthetic(Args& args) {
   if (!args.Has("out")) return Usage();
   data::SyntheticParams params;
-  params.num_super_rs = static_cast<size_t>(args.GetInt("supers", 50));
-  params.super_size_min = static_cast<size_t>(args.GetInt("smin", 10));
-  params.super_size_max = static_cast<size_t>(args.GetInt("smax", 20));
-  params.num_fresh = static_cast<size_t>(args.GetInt("fresh", 10));
+  params.num_super_rs = args.GetSize("supers", 50);
+  params.super_size_min = args.GetSize("smin", 10);
+  params.super_size_max = args.GetSize("smax", 20);
+  params.num_fresh = args.GetSize("fresh", 10);
   params.sigma = args.GetDouble("sigma", 12.0);
   params.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
+  if (!args.status().ok()) return Fail("gen-synthetic", args.status());
   data::Dataset ds = data::MakeSyntheticDataset(params);
   auto st = data::SaveDataset(ds, args.Get("out", ""));
   if (!st.ok()) {
@@ -128,10 +168,11 @@ int GenSynthetic(const Args& args) {
   return 0;
 }
 
-int GenMonero(const Args& args) {
+int GenMonero(Args& args) {
   if (!args.Has("out")) return Usage();
   data::MoneroLikeParams params;
   params.seed = static_cast<uint64_t>(args.GetInt("seed", 20210620));
+  if (!args.status().ok()) return Fail("gen-monero", args.status());
   data::Dataset ds = data::MakeMoneroLikeTrace(params);
   auto st = data::SaveDataset(ds, args.Get("out", ""));
   if (!st.ok()) {
@@ -167,7 +208,7 @@ int Stats(const Args& args) {
   return 0;
 }
 
-int Select(const Args& args) {
+int Select(Args& args) {
   auto ds = data::LoadDataset(args.Get("data", ""));
   if (!ds.ok()) {
     std::fprintf(stderr, "load failed: %s\n",
@@ -176,14 +217,14 @@ int Select(const Args& args) {
   }
   if (!args.Has("target")) return Usage();
   auto requirement = RequirementFlags(args, {0.6, 30});
-  if (!requirement.ok()) {
-    std::fprintf(stderr, "select failed: %s\n",
-                 requirement.status().ToString().c_str());
-    return 1;
-  }
+  auto target = static_cast<chain::TokenId>(args.GetInt("target", 0));
+  common::Rng rng(static_cast<uint64_t>(args.GetInt("seed", 1)));
+  double budget_seconds = args.GetDouble("budget", 2.0);
+  if (!args.status().ok()) return Fail("select", args.status());
+  if (!requirement.ok()) return Fail("select", requirement.status());
 
   core::SelectionInput input;
-  input.target = static_cast<chain::TokenId>(args.GetInt("target", 0));
+  input.target = target;
   input.universe = ds->universe;
   input.history = ds->history;
   input.requirement = *requirement;
@@ -191,11 +232,10 @@ int Select(const Args& args) {
   core::InternInstance(&input);
 
   std::string algo = args.Get("algo", "TM_P");
-  common::Rng rng(static_cast<uint64_t>(args.GetInt("seed", 1)));
 
   if (algo == "TM_X") {
     core::ResilientOptions options;
-    options.total_budget_seconds = args.GetDouble("budget", 2.0);
+    options.total_budget_seconds = budget_seconds;
     core::ResilientSelector resilient(options);
     common::StopWatch watch;
     auto selection = resilient.SelectWithReport(input, &rng);
@@ -221,7 +261,7 @@ int Select(const Args& args) {
   // Exact BFS is O(n^n): bound it in time (--budget, Timeout) and in
   // universe size (InvalidArgument), as the resilient ladder does.
   core::BfsSelector::Options bfs_options;
-  bfs_options.budget_seconds = args.GetDouble("budget", 2.0);
+  bfs_options.budget_seconds = budget_seconds;
   bfs_options.max_universe = core::kBfsBoundedMaxUniverse;
   core::BfsSelector bfs(bfs_options);
   const core::MixinSelector* selector = &progressive;
@@ -248,21 +288,17 @@ int Select(const Args& args) {
   return 0;
 }
 
-int Simulate(const Args& args) {
+int Simulate(Args& args) {
   auto requirement = RequirementFlags(args, {2.0, 3});
-  if (!requirement.ok()) {
-    std::fprintf(stderr, "simulate failed: %s\n",
-                 requirement.status().ToString().c_str());
-    return 1;
-  }
   sim::SimulationConfig config;
-  config.num_wallets = static_cast<size_t>(args.GetInt("wallets", 4));
-  config.tokens_per_wallet =
-      static_cast<size_t>(args.GetInt("tokens", 8));
-  config.cluster_size = static_cast<size_t>(args.GetInt("cluster", 2));
-  config.rounds = static_cast<size_t>(args.GetInt("rounds", 4));
-  config.requirement = *requirement;
+  config.num_wallets = args.GetSize("wallets", 4);
+  config.tokens_per_wallet = args.GetSize("tokens", 8);
+  config.cluster_size = args.GetSize("cluster", 2);
+  config.rounds = args.GetSize("rounds", 4);
   config.seed = static_cast<uint64_t>(args.GetInt("seed", 7));
+  if (!args.status().ok()) return Fail("simulate", args.status());
+  if (!requirement.ok()) return Fail("simulate", requirement.status());
+  config.requirement = *requirement;
 
   std::string algo = args.Get("algo", "TM_P");
   core::ProgressiveSelector progressive;
@@ -333,6 +369,7 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   Args args(argc, argv);
   std::string command = argv[1];
+  if (!args.status().ok()) return Fail(command.c_str(), args.status());
   if (command == "gen-synthetic") return GenSynthetic(args);
   if (command == "gen-monero") return GenMonero(args);
   if (command == "stats") return Stats(args);
